@@ -45,9 +45,6 @@ DEFAULTS = {
     "N": 2,
 }
 
-# weights below this make the implicit grid spacing collapse in float64
-DELTA_FLOOR = 1e-12
-
 
 def _load_config(path) -> dict:
     with open(path) as fh:
@@ -131,10 +128,6 @@ def cmd_gen_tree(args, cfg) -> int:
     tree = random_tree(N=eff["N"], depth=eff["depth"], epsilon=eff["epsilon"],
                        seed=eff["seed"])
     delta = float(tree.weights.min())
-    if delta < DELTA_FLOOR:
-        print(f"minimum weight {delta:.3e} below the {DELTA_FLOOR:g} floor",
-              file=sys.stderr)
-        return EXIT_INVALID
     if args.out:
         tree.save(args.out)
         print(f"wrote {args.out} (N={eff['N']} depth={eff['depth']} "

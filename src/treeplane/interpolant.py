@@ -2,10 +2,11 @@
 
 The interpolant is a partition-of-unity blend of one affine polynomial per
 Whitney square, evaluated together with first and second derivatives.  The
-evaluation subtracts the piece of the square containing each point before
-blending: F = P_ref + sum theta_j (P_j - P_ref).  The common part carries no
-second derivatives, so the Hessian involves only piece differences, which is
-both the numerically stable form and the shape the patching estimate sums.
+evaluation subtracts the piece of one active square at each point before
+blending: F = P_ref + sum theta_j (P_j - P_ref), which holds for any reference
+because the theta_j sum to one.  The common part carries no second
+derivatives, so the Hessian involves only piece differences, which is both the
+numerically stable form and the shape the patching estimate sums.
 """
 
 from __future__ import annotations
@@ -150,24 +151,24 @@ class PatchedInterpolant:
         if not np.any(inside):
             return out[0] if single else out
         xin = pts[inside]
-        home = self.wd.locate(xin)
         indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin)
+        ref = sq[indptr[:-1]]      # every point has at least one active square
         k = np.diff(indptr)
         pt = np.repeat(np.arange(xin.shape[0]), k)
         A = self.coefs
-        da = A[sq, 0] - A[home[pt], 0]
-        db = A[sq, 1] - A[home[pt], 1]
-        dc = A[sq, 2] - A[home[pt], 2]
+        da = A[sq, 0] - A[ref[pt], 0]
+        db = A[sq, 1] - A[ref[pt], 1]
+        dc = A[sq, 2] - A[ref[pt], 2]
         dP = da + db * xin[pt, 0] + dc * xin[pt, 1]
         mi = xin.shape[0]
         if order == 0:
-            ref = (A[home, 0] + A[home, 1] * xin[:, 0] + A[home, 2] * xin[:, 1])
-            out[inside] = ref + np.bincount(pt, weights=th * dP, minlength=mi)
+            base = (A[ref, 0] + A[ref, 1] * xin[:, 0] + A[ref, 2] * xin[:, 1])
+            out[inside] = base + np.bincount(pt, weights=th * dP, minlength=mi)
         elif order == 1:
-            gx = A[home, 1] + np.bincount(pt, weights=tx * dP + th * db,
-                                          minlength=mi)
-            gy = A[home, 2] + np.bincount(pt, weights=ty * dP + th * dc,
-                                          minlength=mi)
+            gx = A[ref, 1] + np.bincount(pt, weights=tx * dP + th * db,
+                                         minlength=mi)
+            gy = A[ref, 2] + np.bincount(pt, weights=ty * dP + th * dc,
+                                         minlength=mi)
             out[inside] = np.column_stack([gx, gy])
         else:
             hxx = np.bincount(pt, weights=txx * dP + 2.0 * tx * db, minlength=mi)

@@ -18,7 +18,6 @@ from .tree_core import (LeafFunction, NodeFunction, WeightedTree, _check_p,
 
 MU_FLOOR_REL = 1e-10      # continuation floor, relative to the data span
 NEWTON_MAX_ITER = 80
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class ExtensionSolveError(RuntimeError):
@@ -119,51 +118,6 @@ def _grad_hess(tree, vals, p, mu, free, pos):
     return g, H
 
 
-def _coordinate_descent(tree, vals, p, free, sweeps=200):
-    """Cyclic golden-section fallback on the exact objective (convex per
-    coordinate, minimizer inside the hull of the neighbor values)."""
-    nbrs = [[] for _ in range(tree.n_nodes)]
-    for i in range(1, tree.n_nodes):
-        nbrs[i].append(int(tree.parent[i]))
-        nbrs[int(tree.parent[i])].append(i)
-
-    def energy():
-        return _objective(tree, vals, p, 0.0)
-
-    last = energy()
-    for _ in range(sweeps):
-        for i in free:
-            lo = min(vals[j] for j in nbrs[i])
-            hi = max(vals[j] for j in nbrs[i])
-            if hi - lo <= 0:
-                vals[i] = lo
-                continue
-            a, b = lo, hi
-            c = b - GOLDEN * (b - a)
-            d_ = a + GOLDEN * (b - a)
-            vals[i] = c
-            fc = energy()
-            vals[i] = d_
-            fd = energy()
-            for _ in range(70):
-                if fc < fd:
-                    b, d_, fd = d_, c, fc
-                    c = b - GOLDEN * (b - a)
-                    vals[i] = c
-                    fc = energy()
-                else:
-                    a, c, fc = c, d_, fd
-                    d_ = a + GOLDEN * (b - a)
-                    vals[i] = d_
-                    fd = energy()
-            vals[i] = (a + b) / 2.0
-        cur = energy()
-        if last - cur <= 1e-15 * max(1.0, abs(last)):
-            break
-        last = cur
-    return vals
-
-
 def optimal_extension(tree: WeightedTree, phi, p: float,
                       tol: float = 1e-7) -> NodeFunction:
     """Minimize the p-th power of the tree seminorm over extensions of phi.
@@ -171,7 +125,8 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
     Damped Newton on sum w_e ((d^2 + mu^2)^(p/2) - mu^p) with mu -> mu/10
     continuation down to 1e-10 times the data span.  The smoothing gap per edge
     is at most mu^p * w_e, which bounds the distance to the infimum; `tol` is
-    the relative objective tolerance requested through that bound.
+    the relative objective tolerance requested through that bound.  A Newton
+    stall raises ExtensionSolveError carrying the current iterate.
 
     Parameters
     ----------
@@ -190,6 +145,11 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
     if span == 0.0:
         # constant boundary data: the constant extension is exactly optimal
         return NodeFunction.from_array(tree, np.full(tree.n_nodes, leaf_vals[0]))
+    if span <= 1e-12 * float(np.max(np.abs(leaf_vals))):
+        # constant up to float noise (the scale `noise` below treats as
+        # zero): Newton cannot resolve the energy, and the averaging extension
+        # restricts to phi exactly
+        return NodeFunction.from_array(tree, vals)
     pos = {int(i): k for k, i in enumerate(free)}
     w_sum = float(np.sum(tree.weights[1:] ** (2.0 - p)))
     mu = 0.1 * span
@@ -199,6 +159,7 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
     noise = (1e-12 * max(span, float(np.max(np.abs(leaf_vals))))) ** p * w_sum
     while True:
         ok = False
+        decr = np.nan
         for _ in range(NEWTON_MAX_ITER):
             g, H = _grad_hess(tree, vals, p, mu, free, pos)
             jcur = _objective(tree, vals, p, mu)
@@ -228,9 +189,9 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
                 ok = decr <= 1e-7 * max(jcur, 1e-300)
                 break
         if not ok:
-            # Newton stalled (can only happen in exotic float corners): fall back
-            vals = _coordinate_descent(tree, vals, p, [int(i) for i in free])
-            break
+            raise ExtensionSolveError(
+                f"Newton stalled at smoothing {mu:.3e} (decrement {decr:.3e})",
+                best=NodeFunction.from_array(tree, vals), residual=decr)
         gap = mu ** p * w_sum
         jtrue = edge_energy(tree, vals, p)
         if mu <= mu_floor or gap <= tol * max(jtrue, noise):

@@ -162,21 +162,25 @@ class WhitneyDecomposition:
     """
 
     def __init__(self, ps: PlanarSet | None, levels, ixs, iys):
+        self.max_level = int(np.max(levels))
+        if self.max_level > MORTON_MAX_LEVEL:
+            # keys are two interleaved level-L coordinates in one int64
+            raise ValueError(
+                f"square level {self.max_level} exceeds the Morton key limit "
+                f"{MORTON_MAX_LEVEL}")
         self.ps = ps
         order = np.argsort(_morton_padded(levels, ixs, iys), kind="stable")
         self.levels = levels[order].astype(np.int32)
         self.ixs = ixs[order].astype(np.int64)
         self.iys = iys[order].astype(np.int64)
         self.n = self.levels.shape[0]
-        self.max_level = int(self.levels.max())
         self.delta = Q0_SIDE * np.exp2(-self.levels.astype(np.float64))
         self.cx = Q0_LO + (self.ixs + 0.5) * self.delta
         self.cy = Q0_LO + (self.iys + 0.5) * self.delta
         self.morton_starts = _morton_padded(self.levels, self.ixs, self.iys)
         # int64 arithmetic: the shift reaches 2 * max_level bits on deep grids
-        span = np.int64(1) << (2 * (min(self.max_level, MORTON_MAX_LEVEL) -
-                               np.minimum(self.levels.astype(np.int64),
-                                          MORTON_MAX_LEVEL)))
+        span = np.int64(1) << (2 * (self.max_level -
+                                    self.levels.astype(np.int64)))
         self.morton_ends = self.morton_starts + span
         side = 1 << (self.max_level - self.levels.astype(np.int64))
         self.x0i = self.ixs * side      # corners at the finest-level grid
@@ -194,14 +198,6 @@ class WhitneyDecomposition:
         self.w = np.full((self.n, 2), np.nan)
         self.e2_anchor_z = None
         self.e2_anchor_w = None
-        self._deep_lookup: dict | None = None  # only for levels beyond Morton range
-
-    def _lookup_table(self) -> dict:
-        if self._deep_lookup is None:
-            self._deep_lookup = {
-                (int(l), int(a), int(b)): r
-                for r, (l, a, b) in enumerate(zip(self.levels, self.ixs, self.iys))}
-        return self._deep_lookup
 
     # -- lookups ---------------------------------------------------------
 
@@ -210,35 +206,19 @@ class WhitneyDecomposition:
                             int(self.iys[row]))
 
     def row_of(self, q: DyadicSquare) -> int:
-        if self.max_level > MORTON_MAX_LEVEL:
-            row = self._lookup_table().get((q.level, q.ix, q.iy))
-            if row is None:
-                raise KeyError(f"square {q} not in the decomposition")
-            return row
-        code = _morton_padded(np.array([q.level]), np.array([q.ix]),
-                              np.array([q.iy]), self.max_level)[0]
-        row = int(np.searchsorted(self.morton_starts, code, side="right")) - 1
-        if row < 0 or (self.levels[row], self.ixs[row], self.iys[row]) != \
-                (q.level, q.ix, q.iy):
-            raise KeyError(f"square {q} not in the decomposition")
-        return row
+        if q.level <= self.max_level:
+            code = _morton_padded(np.array([q.level]), np.array([q.ix]),
+                                  np.array([q.iy]), self.max_level)[0]
+            row = int(np.searchsorted(self.morton_starts, code,
+                                      side="right")) - 1
+            if row >= 0 and (self.levels[row], self.ixs[row],
+                             self.iys[row]) == (q.level, q.ix, q.iy):
+                return row
+        raise KeyError(f"square {q} not in the decomposition")
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Row of the square containing each point (points must lie in Q0)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.max_level > MORTON_MAX_LEVEL:
-            table = self._lookup_table()
-            rows = np.empty(pts.shape[0], dtype=np.int64)
-            for k, (x, y) in enumerate(pts):
-                for lv in range(self.max_level + 1):
-                    d = Q0_SIDE * 2.0 ** -lv
-                    key = (lv, int((x - Q0_LO) // d), int((y - Q0_LO) // d))
-                    if key in table:
-                        rows[k] = table[key]
-                        break
-                else:
-                    rows[k] = -1
-            return rows
         L = self.max_level
         scale = (1 << L) / Q0_SIDE
         cx = np.clip(((pts[:, 0] - Q0_LO) * scale).astype(np.int64),
@@ -266,9 +246,7 @@ class WhitneyDecomposition:
 
 def _morton_padded(levels, ixs, iys, max_level=None) -> np.ndarray:
     L = int(levels.max()) if max_level is None else max_level
-    Lc = min(L, MORTON_MAX_LEVEL)
-    lv = np.minimum(levels.astype(np.int64), Lc)
-    shift = Lc - lv
+    shift = L - levels.astype(np.int64)
     return _morton(ixs.astype(np.int64) << shift, iys.astype(np.int64) << shift)
 
 
@@ -283,11 +261,8 @@ def _touching_graph(x0, y0, side):
     pairs = [np.column_stack([np.arange(n), np.arange(n)])]
     for a_lo, a_hi, b in ((x0, x0 + side, y0), (y0, y0 + side, x0)):
         b_hi = b + side
-        hi_max = int(np.max(a_hi))
-        if hi_max >= (1 << 31):
-            pairs.append(_sweep_lines_loop(a_hi, a_lo, b, b_hi))
-            continue
-        key_shift = hi_max + 1
+        # coordinates are at most 2^31, so the keys stay below 2^62 + 2^32
+        key_shift = int(np.max(a_hi)) + 1
         # faces of square i: "plus side" at coordinate a_hi, "minus side" at a_lo
         order_minus = np.argsort(a_lo * key_shift + b, kind="stable")
         minus_line = a_lo[order_minus]
@@ -313,20 +288,6 @@ def _touching_graph(x0, y0, side):
     counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return indptr, dst
-
-
-def _sweep_lines_loop(a_hi, a_lo, b, b_hi):
-    # huge-coordinate fallback: group by face line in Python
-    from collections import defaultdict
-    by_line = defaultdict(list)
-    for j in range(a_lo.shape[0]):
-        by_line[int(a_lo[j])].append(j)
-    out = []
-    for i in range(a_hi.shape[0]):
-        for j in by_line.get(int(a_hi[i]), ()):
-            if b[i] <= b_hi[j] and b[j] <= b_hi[i]:
-                out.append((i, j))
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def decompose(ps: PlanarSet, cap: int = SQUARE_CAP) -> WhitneyDecomposition:
@@ -643,13 +604,9 @@ def pou_eval(wd: WhitneyDecomposition, q: DyadicSquare, x, order: int = 0):
 
 def verify_partition(wd: WhitneyDecomposition) -> dict:
     """Exact integer check that the squares tile Q0 without overlap."""
-    if wd.max_level > MORTON_MAX_LEVEL:
-        area = int((wd.sidei.astype(object) ** 2).sum())
-        return {"ok": area == (1 << wd.max_level) ** 2, "mode": "area-only"}
     ok_start = wd.morton_starts[0] == 0
     ok_chain = bool(np.all(wd.morton_starts[1:] == wd.morton_ends[:-1]))
-    ok_end = int(wd.morton_ends[-1]) == 1 << (2 * min(wd.max_level,
-                                                      MORTON_MAX_LEVEL))
+    ok_end = int(wd.morton_ends[-1]) == 1 << (2 * wd.max_level)
     return {"ok": bool(ok_start and ok_chain and ok_end), "mode": "morton"}
 
 

@@ -38,6 +38,9 @@ def test_gen_tree_rejects_bad_parameters(tmp_path):
                  "--seed", "0", "--out", out]) == 2
     assert main(["gen-tree", "--N", "2", "--depth", "-1", "--epsilon", "0.01",
                  "--seed", "0", "--out", out]) == 2
+    # leaf weights of at most 0.025^8 (1.5e-13) fall below the 2^-40 floor
+    assert main(["gen-tree", "--N", "2", "--depth", "8", "--epsilon", "0.025",
+                 "--seed", "0", "--out", out]) == 2
     assert not (tmp_path / "x.json").exists()
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from treeplane import (LeafFunction, NodeFunction, WeightedTree,
-                       averaging_extension, brute_force_extension,
+from treeplane import (ExtensionSolveError, LeafFunction, NodeFunction,
+                       WeightedTree, averaging_extension, brute_force_extension,
                        estimate_operator_norm, harmonic_extension_p2,
                        optimal_extension, random_tree, seminorm_tree,
                        trace_seminorm)
+from treeplane import tree_extension
 from treeplane.tree_core import edge_energy
 
 
@@ -99,6 +100,18 @@ def test_tol_validation():
     t, phi = random_instance(0)
     with pytest.raises(ValueError):
         optimal_extension(t, phi, 1.5, tol=0.0)
+
+
+def test_newton_stall_raises(monkeypatch):
+    # with no Newton step allowed every stage stalls; the solver must say so
+    # and hand back its iterate instead of switching method
+    monkeypatch.setattr(tree_extension, "NEWTON_MAX_ITER", 0)
+    t, phi = random_instance(4)
+    with pytest.raises(ExtensionSolveError) as info:
+        optimal_extension(t, phi, 1.5)
+    best = info.value.best.to_array(t)
+    assert np.array_equal(best, averaging_extension(t, phi).to_array(t))
+    assert np.isnan(info.value.residual)
 
 
 # -- harmonic_extension_p2 ----------------------------------------------------

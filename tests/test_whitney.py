@@ -323,11 +323,10 @@ def test_pou_derivatives_match_finite_differences(coarse):
         assert wh <= 1e-4, wh
 
 
-def test_partition_exact_on_deep_staircase():
-    """Regression: morton span arithmetic must stay 64-bit once the level
-    shift passes 31 bits (corner refinement down to level 20)."""
+def staircase(top):
+    """Corner refinement of Q0 down to level `top`: three squares per level
+    plus the last corner square."""
     levels, ixs, iys = [], [], []
-    top = 20
     for lv in range(1, top + 1):
         for dx, dy in ((1, 0), (0, 1), (1, 1)):
             levels.append(lv)
@@ -336,6 +335,15 @@ def test_partition_exact_on_deep_staircase():
     levels.append(top)
     ixs.append(0)
     iys.append(0)
+    return levels, ixs, iys
+
+
+@pytest.mark.parametrize("top", [20, 31])
+def test_partition_exact_on_deep_staircase(top):
+    """Regression: morton span arithmetic must stay 64-bit once the level
+    shift passes 31 bits; level 31 is the deepest key the decomposition
+    accepts."""
+    levels, ixs, iys = staircase(top)
     wd = WhitneyDecomposition(None, np.array(levels), np.array(ixs),
                               np.array(iys))
     assert wd.max_level == top
@@ -344,3 +352,22 @@ def test_partition_exact_on_deep_staircase():
     wd2 = WhitneyDecomposition(None, np.array(levels[1:]), np.array(ixs[1:]),
                                np.array(iys[1:]))
     assert not verify_partition(wd2)["ok"]
+    # closed squares touch iff both coordinate intervals meet; Python ints
+    sides = [1 << (top - lv) for lv in wd.levels.tolist()]
+    xs = [ix * s for ix, s in zip(wd.ixs.tolist(), sides)]
+    ys = [iy * s for iy, s in zip(wd.iys.tolist(), sides)]
+    for i in range(wd.n):
+        lo, hi = wd.neighbors_indptr[i], wd.neighbors_indptr[i + 1]
+        brute = {j for j in range(wd.n)
+                 if xs[j] <= xs[i] + sides[i] and xs[i] <= xs[j] + sides[j]
+                 and ys[j] <= ys[i] + sides[i] and ys[i] <= ys[j] + sides[j]}
+        assert set(wd.neighbors[lo:hi].tolist()) == brute
+    centres = np.column_stack([wd.cx, wd.cy])
+    assert np.array_equal(wd.locate(centres), np.arange(wd.n))
+
+
+def test_level_past_morton_key_refused():
+    levels, ixs, iys = staircase(32)
+    with pytest.raises(ValueError, match="level 32 .* limit 31"):
+        WhitneyDecomposition(None, np.array(levels), np.array(ixs),
+                             np.array(iys))
