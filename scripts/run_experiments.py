@@ -2,8 +2,7 @@
 
 The tight depth-2 decompositions overflow the default square cap, so this
 script builds the geometry itself with a raised cap and hands it to the
-experiment runner.  Expect the tight instances to take hours; start with
---trials 10 to gauge the per-trial cost on your machine.
+experiment runner.
 """
 
 import argparse
@@ -24,7 +23,6 @@ def main() -> int:
     ap.add_argument("--p", type=float, default=1.5)
     ap.add_argument("--N", type=int, default=2)
     ap.add_argument("--seed", type=int, default=2026)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--cap", type=int, default=40 * 10 ** 6)
     ap.add_argument("--instance", action="append",
                     help="run only the named instances")
@@ -48,7 +46,7 @@ def main() -> int:
         t0 = time.perf_counter()
         report = norm_ratio_experiment(
             tree, p=args.p, n_trials=args.trials, seed=args.seed,
-            geometry=(ps, wd, ct), workers=args.workers)
+            geometry=(ps, wd, ct))
         dt = time.perf_counter() - t0
         path = os.path.join(args.out_dir, f"{name}-p{args.p:g}.csv")
         write_experiment_csv(report, path)

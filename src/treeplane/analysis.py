@@ -1,11 +1,17 @@
-"""Quadrature: the planar seminorm, disk averages, and the two ball-estimate
-sums.
+"""Quadrature: the planar seminorm, its edge-weight form, disk averages, and
+the two ball-estimate sums.
 
 The seminorm integrates |Hessian|^p square by square with tensor
 Gauss-Legendre rules and reports the change under one uniform order doubling
 as its error estimate.  Squares on which every nearby piece is identical are
 skipped outright: there the blend collapses to a single affine function and
 the integrand vanishes identically, not just approximately.
+
+For lifted leaf data the pieces differ only in their vertical slope, one per
+cluster, so the seminorm to the power p is a sum over touching cluster pairs
+of |jump|^p times a fixed weight.  `edge_weights` integrates those unit
+jumps once (same kernel, same two orders); squares touching two or more
+other clusters stay on the direct quadrature.
 """
 
 from __future__ import annotations
@@ -83,80 +89,120 @@ def _hess_power_sum_pointwise(F: PatchedInterpolant, rows: np.ndarray,
     return total
 
 
-def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
-                    order: int) -> float:
-    """Tensor-grid nodes factor every bump into 1-d profiles, so each field
-    (the normalizing sum, its derivatives, the coefficient-weighted blends)
-    is a batched matrix product over the touching lists.  Same quantity as
-    the pointwise path, roughly two orders of magnitude fewer profile
-    evaluations."""
-    wd = F.wd
-    co = F.coefs
+def _row_batches(wd, rows: np.ndarray, order: int):
+    """Rows in batches sized for the tensor rule of `order`, each with its
+    touching list padded to a rectangle: (R, cand, valid)."""
     indptr, nbrs = wd.neighbors_indptr, wd.neighbors
-    gx, gw = _panel_rule(order)
-    m = gx.size
-    wxy = gw[:, None] * gw[None, :]
+    m = _panel_rule(order)[0].size
     step = max(1, 2_000_000 // (m * m))
-    total = 0.0
+    for lo in range(0, rows.size, step):
+        R = rows[lo:lo + step]
+        cnt = indptr[R + 1] - indptr[R]
+        ar = np.arange(int(cnt.max()))[None, :]
+        valid = ar < cnt[:, None]
+        cand = nbrs[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
+        yield R, cand, valid
+
+
+def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
+                order: int) -> np.ndarray:
+    """|Hessian|^p times the quadrature weight at each tensor node of rows R,
+    shape (R.size, m, m).
+
+    (da, db, dc) are the piece differences (touching square minus R) along
+    the padded touching lists.  Tensor-grid nodes factor every bump into 1-d
+    profiles, so each field (the normalizing sum, its derivatives, the
+    difference-weighted blends) is a batched matrix product over the touching
+    lists: roughly two orders of magnitude fewer profile evaluations than the
+    pointwise path.  da and db may both be None, meaning zero (the pieces of
+    lifted leaf data differ only in the vertical slope); their products are
+    then skipped and every other term is computed as in the general case.
+    """
+    gx, gw = _panel_rule(order)
+    wxy = gw[:, None] * gw[None, :]
 
     def mm(wk, A, B):
         if wk is None:
             return np.matmul(A.transpose(0, 2, 1), B)
         return np.matmul((wk[:, :, None] * A).transpose(0, 2, 1), B)
 
-    for lo in range(0, rows.size, step):
-        R = rows[lo:lo + step]
-        nr = R.size
-        h = 0.5 * wd.delta[R]
-        xn = wd.cx[R][:, None] + h[:, None] * gx[None, :]
-        yn = wd.cy[R][:, None] + h[:, None] * gx[None, :]
+    h = 0.5 * wd.delta[R]
+    xn = wd.cx[R][:, None] + h[:, None] * gx[None, :]
+    yn = wd.cy[R][:, None] + h[:, None] * gx[None, :]
 
-        cnt = indptr[R + 1] - indptr[R]
-        k = int(cnt.max())
-        ar = np.arange(k)[None, :]
-        valid = ar < cnt[:, None]
-        cand = nbrs[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
+    d = wd.delta[cand][:, :, None]
+    gu, gu1, gu2 = _profile((xn[:, None, :] - wd.cx[cand][:, :, None]) / d)
+    vm = valid[:, :, None]
+    U, Ux, Uxx = gu * vm, gu1 * vm / d, gu2 * vm / d ** 2
+    gv, gv1, gv2 = _profile((yn[:, None, :] - wd.cy[cand][:, :, None]) / d)
+    V, Vy, Vyy = gv, gv1 / d, gv2 / d ** 2
 
-        d = wd.delta[cand][:, :, None]
-        gu, gu1, gu2 = _profile((xn[:, None, :] - wd.cx[cand][:, :, None]) / d)
-        vm = valid[:, :, None]
-        U, Ux, Uxx = gu * vm, gu1 * vm / d, gu2 * vm / d ** 2
-        gv, gv1, gv2 = _profile((yn[:, None, :] - wd.cy[cand][:, :, None]) / d)
-        V, Vy, Vyy = gv, gv1 / d, gv2 / d ** 2
+    iS = 1.0 / mm(None, U, V)
+    P = mm(None, Ux, V) * iS
+    Q = mm(None, U, Vy) * iS
+    Rxx = mm(None, Uxx, V) * iS - 2.0 * P * P
+    Rxy = mm(None, Ux, Vy) * iS - 2.0 * P * Q
+    Ryy = mm(None, U, Vyy) * iS - 2.0 * Q * Q
 
-        iS = 1.0 / mm(None, U, V)
-        P = mm(None, Ux, V) * iS
-        Q = mm(None, U, Vy) * iS
-        Rxx = mm(None, Uxx, V) * iS - 2.0 * P * P
-        Rxy = mm(None, Ux, Vy) * iS - 2.0 * P * Q
-        Ryy = mm(None, U, Vyy) * iS - 2.0 * Q * Q
+    X = xn[:, :, None]
+    Y = yn[:, None, :]
 
+    def blend(A, B):
+        """Blend of the difference affines under one derivative pair, with
+        its db and dc parts (the pieces' own first derivatives)."""
+        bc = mm(dc, A, B)
+        if db is None:
+            return Y * bc, None, bc
+        bb = mm(db, A, B)
+        return mm(da, A, B) + X * bb + Y * bc, bb, bc
+
+    TAuv, Bdb_uv, Bdc_uv = blend(U, V)
+    TAxv, Bdb_xv, Bdc_xv = blend(Ux, V)
+    TAuy, Bdb_uy, Bdc_uy = blend(U, Vy)
+    TAxxv = blend(Uxx, V)[0]
+    TAuyy = blend(U, Vyy)[0]
+    TAxy = blend(Ux, Vy)[0]
+
+    sxx = TAxxv - 2.0 * P * TAxv - Rxx * TAuv
+    sxy = TAxy - Q * TAxv - P * TAuy - Rxy * TAuv
+    if db is not None:
+        sxx = sxx + 2.0 * (Bdb_xv - P * Bdb_uv)
+        sxy = sxy + Bdb_uy - Q * Bdb_uv
+    Hxx = iS * sxx
+    Hyy = iS * (TAuyy - 2.0 * Q * TAuy - Ryy * TAuv
+                + 2.0 * (Bdc_uy - Q * Bdc_uv))
+    Hxy = iS * (sxy + Bdc_xv - P * Bdc_uv)
+
+    frob = np.sqrt(Hxx ** 2 + 2.0 * Hxy ** 2 + Hyy ** 2)
+    return frob ** p * wxy[None] * (h ** 2)[:, None, None]
+
+
+def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
+                    order: int) -> float:
+    """Integral of |Hessian|^p over the given rows (same quantity as the
+    pointwise path)."""
+    co = F.coefs
+    total = 0.0
+    for R, cand, valid in _row_batches(F.wd, rows, order):
         da = co[cand, 0] - co[R, 0][:, None]
         db = co[cand, 1] - co[R, 1][:, None]
         dc = co[cand, 2] - co[R, 2][:, None]
-        X = xn[:, :, None]
-        Y = yn[:, None, :]
-
-        Bdb_uv, Bdc_uv = mm(db, U, V), mm(dc, U, V)
-        Bdb_xv, Bdc_xv = mm(db, Ux, V), mm(dc, Ux, V)
-        Bdb_uy, Bdc_uy = mm(db, U, Vy), mm(dc, U, Vy)
-        TAuv = mm(da, U, V) + X * Bdb_uv + Y * Bdc_uv
-        TAxv = mm(da, Ux, V) + X * Bdb_xv + Y * Bdc_xv
-        TAuy = mm(da, U, Vy) + X * Bdb_uy + Y * Bdc_uy
-        TAxxv = mm(da, Uxx, V) + X * mm(db, Uxx, V) + Y * mm(dc, Uxx, V)
-        TAuyy = mm(da, U, Vyy) + X * mm(db, U, Vyy) + Y * mm(dc, U, Vyy)
-        TAxy = mm(da, Ux, Vy) + X * mm(db, Ux, Vy) + Y * mm(dc, Ux, Vy)
-
-        Hxx = iS * (TAxxv - 2.0 * P * TAxv - Rxx * TAuv
-                    + 2.0 * (Bdb_xv - P * Bdb_uv))
-        Hyy = iS * (TAuyy - 2.0 * Q * TAuy - Ryy * TAuv
-                    + 2.0 * (Bdc_uy - Q * Bdc_uv))
-        Hxy = iS * (TAxy - Q * TAxv - P * TAuy - Rxy * TAuv
-                    + Bdb_uy - Q * Bdb_uv + Bdc_xv - P * Bdc_uv)
-
-        frob = np.sqrt(Hxx ** 2 + 2.0 * Hxy ** 2 + Hyy ** 2)
-        total += float(np.sum(frob ** p * wxy[None] * (h ** 2)[:, None, None]))
+        total += float(np.sum(_hess_power(F.wd, R, cand, valid, da, db, dc,
+                                          p, order)))
     return total
+
+
+def _order_doubling_estimate(coarse: float, fine: float, p: float,
+                             refine_tol: float) -> tuple[float, float]:
+    """(value, error) from the p-th powers at one order and at its double,
+    warning when the error exceeds refine_tol * value."""
+    value = fine ** (1.0 / p)
+    err = abs(coarse ** (1.0 / p) - value)
+    if err > refine_tol * max(value, 1e-300):
+        warnings.warn(f"quadrature estimate moved by {err:.3e} "
+                      f"({err / max(value, 1e-300):.2%} of {value:.6e}) "
+                      f"under order doubling", stacklevel=3)
+    return value, err
 
 
 def planar_seminorm(F: PatchedInterpolant, p: float, quad_order: int = 12,
@@ -174,13 +220,80 @@ def planar_seminorm(F: PatchedInterpolant, p: float, quad_order: int = 12,
         return 0.0, 0.0
     coarse = _hess_power_sum(F, rows, p, quad_order)
     fine = _hess_power_sum(F, rows, p, 2 * quad_order)
-    value = fine ** (1.0 / p)
-    err = abs(coarse ** (1.0 / p) - value)
-    if err > refine_tol * max(value, 1e-300):
-        warnings.warn(f"quadrature estimate moved by {err:.3e} "
-                      f"({err / max(value, 1e-300):.2%} of {value:.6e}) "
-                      f"under order doubling", stacklevel=2)
-    return value, err
+    return _order_doubling_estimate(coarse, fine, p, refine_tol)
+
+
+@dataclass(frozen=True)
+class EdgeWeights:
+    """Seminorm to the power p of a unit jump across each touching cluster
+    pair, for interpolants of lifted leaf data.
+
+    Lifted data make every piece (0, 0, Phi[cluster]).  On a square whose
+    touching list holds exactly one other cluster, the Hessian is the jump
+    Phi[other] - Phi[own] times a fixed field, so the seminorm to the power
+    p is sum over pairs |Phi[a] - Phi[b]|^p * M[pair], plus the direct
+    integral over `mixed_rows`, the squares touching two or more other
+    clusters.  pairs holds cluster rows (a < b); M_coarse and M_fine are the
+    weights at quad_order and at 2 * quad_order.
+    """
+
+    p: float
+    quad_order: int
+    pairs: np.ndarray
+    M_coarse: np.ndarray
+    M_fine: np.ndarray
+    mixed_rows: np.ndarray
+
+    def seminorm(self, Phi: np.ndarray, F: PatchedInterpolant,
+                 refine_tol: float = 0.01) -> tuple[float, float]:
+        """planar_seminorm(F, p, quad_order, refine_tol) for F the extension
+        of lifted leaf data whose clusters carry the vertical slopes Phi; F
+        is read only on the mixed rows."""
+        jump = np.abs(Phi[self.pairs[:, 0]] - Phi[self.pairs[:, 1]]) ** self.p
+        coarse = float(jump @ self.M_coarse)
+        fine = float(jump @ self.M_fine)
+        if self.mixed_rows.size:
+            coarse += _hess_power_sum(F, self.mixed_rows, self.p,
+                                      self.quad_order)
+            fine += _hess_power_sum(F, self.mixed_rows, self.p,
+                                    2 * self.quad_order)
+        return _order_doubling_estimate(coarse, fine, self.p, refine_tol)
+
+
+def edge_weights(wd, ct: ClusterTree, p: float,
+                 quad_order: int = 12) -> EdgeWeights:
+    """Unit-jump weights of every touching cluster pair of the assigned
+    decomposition (see EdgeWeights), at quad_order and its double."""
+    if quad_order < 4:
+        raise ValueError("quad_order must be at least 4")
+    if ct.square_cluster is None:
+        raise ValueError("clusters are not assigned to squares")
+    lab = ct.square_cluster.astype(np.int64)
+    n = np.int64(ct.n_clusters)
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    other = lab[wd.neighbors] != lab[src]
+    touch = np.unique(src[other] * n + lab[wd.neighbors][other])
+    rows, partner = touch // n, touch % n
+    n_other = np.bincount(rows, minlength=wd.n)
+    mixed = np.flatnonzero(n_other >= 2)
+    single = n_other[rows] == 1
+    rows, partner = rows[single], partner[single]
+    a = np.minimum(lab[rows], partner)
+    b = np.maximum(lab[rows], partner)
+    keys, pair_of_row = np.unique(a * n + b, return_inverse=True)
+    M = []
+    for order in (quad_order, 2 * quad_order):
+        per_row = np.empty(rows.size)
+        done = 0
+        for R, cand, valid in _row_batches(wd, rows, order):
+            dc = (lab[cand] != lab[R][:, None]).astype(float)
+            dens = _hess_power(wd, R, cand, valid, None, None, dc, p, order)
+            per_row[done:done + R.size] = dens.sum(axis=(1, 2))
+            done += R.size
+        M.append(np.bincount(pair_of_row, weights=per_row,
+                             minlength=keys.size))
+    pairs = np.column_stack([keys // n, keys % n])
+    return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed)
 
 
 def disk_rule(center, radius: float, rings: int = 64,

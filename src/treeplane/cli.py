@@ -39,7 +39,6 @@ DEFAULTS = {
     "trials": 10,
     "seed": 0,
     "backend": "optimal",
-    "workers": 1,
     "samples": 101,
     "depth": 1,
     "N": 2,
@@ -241,12 +240,12 @@ def cmd_extend_tree(args, cfg) -> int:
 
 def cmd_experiment(args, cfg) -> int:
     eff = _effective(args, cfg, ("p", "kappa", "quad_order", "trials", "seed",
-                                 "backend", "workers"))
+                                 "backend"))
     tree = _load_tree(args.tree)
     report = norm_ratio_experiment(
         tree, p=eff["p"], n_trials=eff["trials"], seed=eff["seed"],
         backend=eff["backend"], kappa=eff["kappa"],
-        quad_order=eff["quad_order"], workers=eff["workers"])
+        quad_order=eff["quad_order"])
     if args.out:
         write_experiment_csv(report, args.out)
         print(f"wrote {args.out} ({len(report['rows'])} trials)")
@@ -323,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         backend={"choices": ["optimal", "averaging"]}, out={})
     add("experiment", cmd_experiment, tree={"required": True}, p=num,
         kappa=num, quad_order=integer, trials=integer, seed=integer,
-        backend={"choices": ["optimal", "averaging"]}, workers=integer, out={})
+        backend={"choices": ["optimal", "averaging"]}, out={})
     add("bench", cmd_bench, tree={"required": True}, p=num, kappa=num,
         quad_order=integer, seed=integer, out={})
     return top

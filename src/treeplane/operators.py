@@ -6,7 +6,10 @@ clusters to all clusters) to a tree extension backend.  tree_extend_from_planar
 goes the other way: lift leaf data to planar boundary data, extend in the
 plane, then read node values back off as disk averages of the vertical
 derivative over the cluster balls.  norm_ratio_experiment runs both pipelines
-on random boundary data and reports the seminorm ratios.
+on random boundary data and reports the seminorm ratios: it integrates the
+edge weights of the planar seminorm once per call, solves the tree extension
+once per trial, and reports the deterministic bound on rho_plane that the
+weights give with the optimal backend.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import ball_average, planar_seminorm
+from .analysis import EdgeWeights, ball_average, edge_weights
+# re-exported beside the extensions: the direct seminorm of any of them
+from .analysis import planar_seminorm  # noqa: F401
 from .clusters import ClusterTree, assign_clusters, build_clusters
 from .embedding import PlanarSet, build_planar_set
 from .interpolant import AffinePolynomial, PatchedInterpolant
 from .tree_core import (LeafFunction, NodeFunction, WeightedTree,
-                        seminorm_tree)
-from .tree_extension import (averaging_extension, optimal_extension,
-                             trace_seminorm)
+                        edge_energy, seminorm_tree)
+from .tree_extension import averaging_extension, optimal_extension
 from .whitney import WhitneyDecomposition, decompose, e2_anchor_indices
 
 CAVEAT = ("ratio stability across instances is the reportable quantity; "
@@ -175,13 +179,9 @@ def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
     return NodeFunction.from_array(tree, vals)
 
 
-_TRIAL_CTX: dict = {}
-
-
-def _run_trial(t: int) -> dict:
-    c = _TRIAL_CTX
-    tree, ps, wd, ct = c["tree"], c["ps"], c["wd"], c["ct"]
-    p, seed, backend = c["p"], c["seed"], c["backend"]
+def _run_trial(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
+               ct: ClusterTree, ew: EdgeWeights, p: float, seed: int,
+               backend, rings: int, angles: int, t: int) -> dict:
     rng = np.random.default_rng([seed, t])
     while True:
         vals = rng.standard_normal(tree.n_leaves)
@@ -189,12 +189,13 @@ def _run_trial(t: int) -> dict:
         if np.ptp(vals) > 1e-12:
             break
     phi = LeafFunction.from_array(tree, vals)
-    den = trace_seminorm(tree, phi, p)
+    opt = optimal_extension(tree, phi, p)
+    den = edge_energy(tree, opt.to_array(tree), p) ** (1.0 / p)
+    ext = opt if backend == "optimal" else _tree_backend(backend)(tree, phi, p)
     f = PlanarData.from_leaf_function(tree, ps, phi)
-    F = planar_extend(tree, ps, wd, ct, f, p, backend=backend)
-    num_plane, quad_err = planar_seminorm(F, p, quad_order=c["quad_order"])
-    node_vals = _node_values_from_field(tree, ct, vals, F, c["rings"],
-                                        c["angles"])
+    F = planar_extend(tree, ps, wd, ct, f, p, backend=lambda *_: ext)
+    num_plane, quad_err = ew.seminorm(ext.to_array(tree), F)
+    node_vals = _node_values_from_field(tree, ct, vals, F, rings, angles)
     num_tree = seminorm_tree(tree, NodeFunction.from_array(tree, node_vals), p)
     return {
         "seed": seed, "trial": t, "N": tree.N, "depth": int(tree.depths.max()),
@@ -206,18 +207,40 @@ def _run_trial(t: int) -> dict:
     }
 
 
+def _plane_ratio_bound(tree: WeightedTree,
+                      ew: EdgeWeights) -> tuple[float, float] | None:
+    """Largest (M_e / W_e^(2-p))^(1/p) over tree edges, from the fine
+    weights, and its gap to the same bound from the coarse weights.
+
+    With the optimal backend, rho_plane^p is a mean of M_e / W_e^(2-p)
+    weighted by the edge terms |dPhi_e|^p W_e^(2-p) of the trace energy, so
+    the bound holds for every leaf data.  None when a mixed row or a
+    touching pair that is not a tree edge breaks that form.
+    """
+    a, b = ew.pairs[:, 0], ew.pairs[:, 1]
+    b_child = tree.parent[b] == a
+    if ew.mixed_rows.size or not np.all(b_child | (tree.parent[a] == b)):
+        return None
+    w = tree.weights[np.where(b_child, b, a)] ** (2.0 - ew.p)
+    fine = float(np.max(ew.M_fine / w, initial=0.0)) ** (1.0 / ew.p)
+    coarse = float(np.max(ew.M_coarse / w, initial=0.0)) ** (1.0 / ew.p)
+    return fine, abs(coarse - fine)
+
+
 def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
                           seed: int, backend="optimal", kappa: float = 10.25,
                           K1: float | None = None, quad_order: int = 12,
                           rings: int = 64, angles: int = 128,
-                          geometry=None, workers: int = 1) -> dict:
+                          geometry=None) -> dict:
     """Both seminorm ratios over random de-meaned leaf data.
 
     Per trial: rho_plane is the planar seminorm of the extension of the lifted
     data over the trace seminorm of the leaf data; rho_tree is the tree
     seminorm of the round trip (plane and back) over the same trace seminorm.
-    Deterministic given the seed regardless of worker count; constant draws
-    are resampled.
+    The planar seminorm comes from edge weights integrated once per call;
+    with the optimal backend their largest ratio to the tree weights bounds
+    every rho_plane (`rho_plane_bound`, else None).  Deterministic given the
+    seed; constant draws are resampled.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -228,27 +251,18 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
         assign_clusters(ct, wd)
     else:
         ps, wd, ct = geometry
-    ctx = {"tree": tree, "ps": ps, "wd": wd, "ct": ct, "p": p, "seed": seed,
-           "backend": backend, "quad_order": quad_order, "rings": rings,
-           "angles": angles}
-    global _TRIAL_CTX
-    _TRIAL_CTX = ctx
-    try:
-        if workers > 1:
-            # fork lets workers inherit the geometry instead of pickling it
-            import multiprocessing
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                rows = pool.map(_run_trial, range(n_trials))
-        else:
-            rows = [_run_trial(t) for t in range(n_trials)]
-    finally:
-        _TRIAL_CTX = {}
+    ew = edge_weights(wd, ct, p, quad_order)
+    rows = [_run_trial(tree, ps, wd, ct, ew, p, seed, backend, rings, angles,
+                       t) for t in range(n_trials)]
+    bound = _plane_ratio_bound(tree, ew) if backend == "optimal" else None
     rp = np.array([r["rho_plane"] for r in rows])
     rt = np.array([r["rho_tree"] for r in rows])
     return {
         "rows": rows,
         "caveat": CAVEAT,
         "kappa": kappa, "K1": ct.K1, "quad_order": quad_order,
+        "rho_plane_bound": None if bound is None else bound[0],
+        "rho_plane_bound_error": None if bound is None else bound[1],
         "rho_plane": {"min": float(rp.min()), "median": float(np.median(rp)),
                       "max": float(rp.max())},
         "rho_tree": {"min": float(rt.min()), "median": float(np.median(rt)),
@@ -263,7 +277,9 @@ def write_experiment_csv(report: dict, path) -> None:
     def emit(fh):
         fh.write(f"# {report['caveat']}\n")
         fh.write(f"# kappa={report['kappa']} K1={report['K1']} "
-                 f"quad_order={report['quad_order']}\n")
+                 f"quad_order={report['quad_order']} "
+                 f"rho_plane_bound={report['rho_plane_bound']} "
+                 f"rho_plane_bound_error={report['rho_plane_bound_error']}\n")
         w = csv.DictWriter(fh, fieldnames=cols)
         w.writeheader()
         for r in report["rows"]:

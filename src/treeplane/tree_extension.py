@@ -40,8 +40,12 @@ def averaging_extension(tree: WeightedTree, phi) -> NodeFunction:
     """Phi(v) = mean of phi over the leaves below v.  Linear in phi, exact on
     constants, and restricts to phi on the leaves."""
     leaf_vals = _leaf_array(tree, phi)
-    cs = np.concatenate([[0.0], np.cumsum(leaf_vals)])
+    # the sums run over offsets from the first leaf, so constant data sum to
+    # exact zeros and come back unrounded
+    base = leaf_vals[0]
+    cs = np.concatenate([[0.0], np.cumsum(leaf_vals - base)])
     means = (cs[tree.leaf_hi] - cs[tree.leaf_lo]) / (tree.leaf_hi - tree.leaf_lo)
+    means += base
     # exact restriction: a singleton shadow must reproduce the leaf value bit for bit
     means[tree.is_leaf] = leaf_vals[
         [tree.leaf_pos[v] for v in np.array(tree.ids)[tree.is_leaf]]]
@@ -142,13 +146,10 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
     if free.size == 0:
         return NodeFunction.from_array(tree, vals)
     span = float(leaf_vals.max() - leaf_vals.min()) if leaf_vals.size else 0.0
-    if span == 0.0:
-        # constant boundary data: the constant extension is exactly optimal
-        return NodeFunction.from_array(tree, np.full(tree.n_nodes, leaf_vals[0]))
     if span <= 1e-12 * float(np.max(np.abs(leaf_vals))):
         # constant up to float noise (the scale `noise` below treats as
         # zero): Newton cannot resolve the energy, and the averaging extension
-        # restricts to phi exactly
+        # restricts to phi exactly (and is the exact constant on constants)
         return NodeFunction.from_array(tree, vals)
     pos = {int(i): k for k, i in enumerate(free)}
     w_sum = float(np.sum(tree.weights[1:] ** (2.0 - p)))

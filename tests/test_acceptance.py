@@ -212,15 +212,18 @@ def test_criterion_5_ratio_experiment_echo():
     extra = [("n2d1-loose", 1.25), ("n2d1-loose", 1.75), ("n3d1-loose", 1.5)]
     plane_all, tree_all = [], []
     caveat = ""
-    for name in sweep:
-        rep = _experiment(name, 1.5)
+    headroom = np.inf
+    for name, p in [(n, 1.5) for n in sweep] + extra:
+        rep = _experiment(name, p)
         caveat = rep["caveat"]
         plane_all.extend(r["rho_plane"] for r in rep["rows"])
         tree_all.extend(r["rho_tree"] for r in rep["rows"])
-    for name, p in extra:
-        rep = _experiment(name, p)
-        plane_all.extend(r["rho_plane"] for r in rep["rows"])
-        tree_all.extend(r["rho_tree"] for r in rep["rows"])
+        # the edge-weight bound holds for every trial, not just on average
+        bound = rep["rho_plane_bound"]
+        assert all(r["rho_plane"] <= bound * (1.0 + 1e-12)
+                   for r in rep["rows"])
+        headroom = min(headroom, bound / max(r["rho_plane"]
+                                             for r in rep["rows"]))
     plane = np.array(plane_all)
     rho_t = np.array(tree_all)
     assert np.isfinite(plane).all() and np.isfinite(rho_t).all()
@@ -234,7 +237,8 @@ def test_criterion_5_ratio_experiment_echo():
     _line(5, True,
           f"{plane.size} trials finite, rho_tree min {rho_t.min():.12f}, "
           f"epsilon spread {spread:.3f}x (<5) at (N=2, depth=1, p=1.5); "
-          f"caveat recorded: {caveat}")
+          f"every rho_plane within its edge-weight bound (least headroom "
+          f"{headroom:.3f}x); caveat recorded: {caveat}")
 
 
 def test_criterion_6_quadrature_self_consistency():

@@ -122,6 +122,8 @@ def test_config_file_precedence(tmp_path):
     assert main(base + ["--quad-order", "12"]) == 0  # flag wins
     cfg.write_text('{"nonsense": true}')
     assert main(base) == 2
+    cfg.write_text('{"workers": 2}')  # the worker pool is gone
+    assert main(base) == 2
     cfg.write_text('{"quad_order": "twelve"}')
     assert main(base) == 2
 

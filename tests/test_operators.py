@@ -1,10 +1,12 @@
 """Round-trip pipelines: boundary data to the plane and back."""
 
+import copy
 import csv
 
 import numpy as np
 import pytest
 
+from treeplane.analysis import edge_weights, planar_seminorm
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial
@@ -12,7 +14,9 @@ from treeplane.operators import (PlanarData, _tree_backend, leaf_slopes,
                                  norm_ratio_experiment, planar_extend,
                                  tree_extend_from_planar, verify_restriction,
                                  write_experiment_csv)
+from treeplane.suite import canonical, instance_geometry
 from treeplane.tree_core import LeafFunction, WeightedTree
+from treeplane.tree_extension import optimal_extension
 from treeplane.whitney import decompose
 
 
@@ -211,13 +215,83 @@ def test_experiment_geometry_matches_rebuild(pair):
     assert a["rows"] == b["rows"]
 
 
-def test_experiment_workers_match_serial(tri):
+def _lifted_interpolant(tree, ps, wd, ct, seed, p=1.5):
+    rng = np.random.default_rng(seed)
+    phi = LeafFunction.from_array(tree, rng.standard_normal(tree.n_leaves))
+    ext = optimal_extension(tree, phi, p)
+    f = PlanarData.from_leaf_function(tree, ps, phi)
+    F = planar_extend(tree, ps, wd, ct, f, p, backend=lambda *_: ext)
+    return ext.to_array(tree), F
+
+
+def _assert_same_seminorm(ew, Phi, F):
+    value, err = ew.seminorm(Phi, F)
+    want_value, want_err = planar_seminorm(F, ew.p, quad_order=ew.quad_order)
+    assert want_value > 0.0 and want_err > 0.0
+    assert abs(value - want_value) <= 1e-12 * want_value
+    assert abs(err - want_err) <= 1e-12 * want_err
+
+
+@pytest.mark.parametrize("name", ["tri", "n3d1-loose"])
+def test_edge_weights_match_planar_seminorm(name, tri):
+    if name == "tri":
+        tree, ps, wd, ct = tri
+    else:
+        tree, ps, wd, ct = instance_geometry(canonical(name))
+    ew = edge_weights(wd, ct, 1.5)
+    assert ew.mixed_rows.size == 0
+    # every touching cluster pair is a tree edge on these instances
+    a, b = ew.pairs.T
+    assert np.all((tree.parent[b] == a) | (tree.parent[a] == b))
+    for seed in (0, 1):
+        Phi, F = _lifted_interpolant(tree, ps, wd, ct, seed)
+        _assert_same_seminorm(ew, Phi, F)
+
+
+def test_edge_weights_mixed_rows_match_planar_seminorm(tri):
     tree, ps, wd, ct = tri
-    kw = dict(p=1.5, n_trials=2, seed=13, quad_order=8,
-              geometry=(ps, wd, ct))
-    serial = norm_ratio_experiment(tree, workers=1, **kw)
-    forked = norm_ratio_experiment(tree, workers=2, **kw)
-    assert serial["rows"] == forked["rows"]
+    # relabel one square on a cluster boundary to a third cluster, so that
+    # it (and squares around it) touch two other clusters
+    lab = ct.square_cluster
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    hit = lab[wd.neighbors] != lab[src]
+    r = int(src[hit][0])
+    third = next(c for c in range(ct.n_clusters)
+                 if c != lab[r] and c not in lab[wd.neighbors[src == r]])
+    mixed = copy.copy(ct)
+    mixed.square_cluster = lab.copy()
+    mixed.square_cluster[r] = third
+    ew = edge_weights(wd, mixed, 1.5)
+    assert r in ew.mixed_rows
+    for seed in (2, 3):
+        Phi, F = _lifted_interpolant(tree, ps, wd, mixed, seed)
+        _assert_same_seminorm(ew, Phi, F)
+
+
+def test_edge_weights_guards(tri):
+    tree, ps, wd, ct = tri
+    with pytest.raises(ValueError, match="quad_order"):
+        edge_weights(wd, ct, 1.5, 3)
+    bare = copy.copy(ct)
+    bare.square_cluster = None
+    with pytest.raises(ValueError, match="assigned"):
+        edge_weights(wd, bare, 1.5)
+
+
+def test_experiment_rows_within_plane_bound(tri):
+    tree, ps, wd, ct = tri
+    rep = norm_ratio_experiment(tree, p=1.5, n_trials=8, seed=17,
+                                geometry=(ps, wd, ct))
+    bound = rep["rho_plane_bound"]
+    assert bound > 0.0 and 0.0 <= rep["rho_plane_bound_error"] < 0.01 * bound
+    for r in rep["rows"]:
+        assert r["rho_plane"] <= bound * (1.0 + 1e-12)
+    # the averaging backend's numerator is not the trace energy's extension
+    avg = norm_ratio_experiment(tree, p=1.5, n_trials=1, seed=17,
+                                backend="averaging",
+                                geometry=(ps, wd, ct))
+    assert avg["rho_plane_bound"] is None
+    assert avg["rho_plane_bound_error"] is None
 
 
 def test_csv_round_trip(tri, tmp_path):
@@ -229,6 +303,7 @@ def test_csv_round_trip(tri, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ") and "constant" in lines[0]
     assert lines[1].startswith("# kappa=")
+    assert f"rho_plane_bound={rep['rho_plane_bound']} " in lines[1]
     back = list(csv.DictReader(lines[2:]))
     assert len(back) == 2
     assert list(back[0]) == ["seed", "trial", "N", "depth", "epsilon", "p",

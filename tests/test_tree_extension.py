@@ -192,6 +192,14 @@ def test_averaging_is_exactly_linear():
     assert np.allclose(ec, a * e1 + b * e2, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("c", [1.7, 1e5 / 3])
+def test_averaging_exact_on_constants(c):
+    for seed in range(5):
+        t = random_tree(N=3, depth=3, epsilon=0.05, seed=seed)
+        phi = LeafFunction({v: c for v in t.leaf_ids})
+        assert np.all(averaging_extension(t, phi).to_array(t) == c)
+
+
 def test_averaging_restricts_exactly():
     t, phi = random_instance(6, N=4, depth=2)
     ext = averaging_extension(t, phi)
