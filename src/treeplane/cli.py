@@ -138,7 +138,7 @@ def cmd_gen_tree(args, cfg) -> int:
 
 
 def cmd_build(args, cfg) -> int:
-    eff = _effective(args, cfg, ("kappa", "K0", "seed"))
+    eff = _effective(args, cfg, ("kappa",))
     tree = _load_tree(args.tree)
     ps = build_planar_set(tree)
     doc = {"params": eff, "tree": {"nodes": tree.n_nodes,
@@ -310,8 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     integer = {"type": int}
     add("gen-tree", cmd_gen_tree, N=integer, depth=integer, epsilon=num,
         seed=integer, k0=num, out={})
-    add("build", cmd_build, tree={"required": True}, kappa=num, K0=num,
-        seed=integer, out={})
+    add("build", cmd_build, tree={"required": True}, kappa=num, out={})
     add("verify", cmd_verify, tree={"required": True}, kappa=num, K0=num,
         p={}, quad_order=integer, seed=integer, out={})
     add("extend-plane", cmd_extend_plane, tree={"required": True}, data={},

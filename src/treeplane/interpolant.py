@@ -88,17 +88,6 @@ def affine_through(p1, p2, p3, v1: float, v2: float, v3: float) -> AffinePolynom
     return AffinePolynomial(float(a), float(b), float(c))
 
 
-def horizontal_affine(z, w, fz: float, fw: float) -> AffinePolynomial:
-    """The affine with zero vertical slope through two axis values."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    dx = z[0] - w[0]
-    if dx == 0.0:
-        raise ValueError("base points share their first coordinate")
-    b = (fz - fw) / dx
-    return AffinePolynomial(float(fz - b * z[0]), float(b), 0.0)
-
-
 class PatchedInterpolant:
     """F = sum P_Q theta_Q on the frame, one fixed affine outside.
 

@@ -1,15 +1,18 @@
 """The two directions of the tree-plane equivalence.
 
-planar_extend builds the patched interpolant for boundary data on the planar
-set, delegating the hard part (extending vertical slopes from the leaf
-clusters to all clusters) to a tree extension backend.  tree_extend_from_planar
-goes the other way: lift leaf data to planar boundary data, extend in the
-plane, then read node values back off as disk averages of the vertical
-derivative over the cluster balls.  norm_ratio_experiment runs both pipelines
-on random boundary data and reports the seminorm ratios: it integrates the
-edge weights of the planar seminorm once per call, solves the tree extension
-once per trial, and reports the deterministic bound on rho_plane that the
-weights give with the optimal backend.
+One piece builder makes every interpolant: the horizontal affine through
+each square's two grid base points plus the vertical slope of the square's
+cluster.  The slopes come from a tree extension backend, "optimal" or
+"averaging", which extends leaf slopes to all clusters.  planar_extend reads
+the leaf slopes off general boundary data on the planar set.
+tree_extend_from_planar goes the other way: it extends the leaf data itself,
+builds the interpolant of its lift, then reads node values back off as disk
+averages of the vertical derivative over the cluster balls.
+norm_ratio_experiment runs both pipelines on random boundary data and reports
+the seminorm ratios: it integrates the edge weights of the planar seminorm
+once per call, solves the tree extension once per trial, and reports the
+deterministic bound on rho_plane that the weights give with the optimal
+backend.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ class PlanarData:
 
 
 def _tree_backend(backend) -> Callable:
-    if callable(backend):
-        return backend
     if backend == "averaging":
         return lambda tree, phi, p: averaging_extension(tree, phi)
     if backend == "optimal":
@@ -86,42 +87,47 @@ def _tree_backend(backend) -> Callable:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def leaf_slopes(ps: PlanarSet, f: PlanarData) -> np.ndarray:
-    """Vertical slope of the three-point jet at each upper point: the affine
-    through the point and its two grid anchors, differentiated vertically."""
-    kz, kw = e2_anchor_indices(ps)
+def _grid_affine(ps: PlanarSet, f: PlanarData, kz: np.ndarray,
+                 kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b) of the horizontal affines a + b x1 through the grid
+    data at each index pair (kz, kw)."""
     fz = f.e1_values(ps, kz)
     fw = f.e1_values(ps, kw)
     b = (fz - fw) / ((kz - kw) * ps.delta)
-    a = fz - b * (kz * ps.delta)
+    return fz - b * (kz * ps.delta), b
+
+
+def leaf_slopes(ps: PlanarSet, f: PlanarData) -> np.ndarray:
+    """Vertical slope of the three-point jet at each upper point: the affine
+    through the point and its two grid anchors, differentiated vertically."""
+    a, b = _grid_affine(ps, f, *e2_anchor_indices(ps))
     return (f.e2_values - a - b * ps.e2[:, 0]) / ps.e2[:, 1]
+
+
+def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
+                 f: PlanarData, Phi: np.ndarray) -> PatchedInterpolant:
+    """Pieces: the horizontal affine through each square's two grid base
+    points, plus the vertical slope Phi of the square's cluster.  Frame
+    squares end up carrying the global tail automatically (shared base
+    points, root cluster)."""
+    if ct.square_cluster is None:
+        assign_clusters(ct, wd)
+    a, b = _grid_affine(ps, f, wd.kz, wd.kw)
+    coefs = np.column_stack([a, b, Phi[ct.square_cluster]])
+    brow = int(np.flatnonzero(wd.boundary)[0])
+    tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
+    return PatchedInterpolant(wd, coefs, tail)
 
 
 def planar_extend(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
                   ct: ClusterTree, f: PlanarData, p: float,
                   backend="optimal") -> PatchedInterpolant:
-    """Extend boundary data to the plane.
-
-    Pieces: the horizontal affine through each square's two grid base points,
-    plus the vertical slope assigned to the square's cluster by the tree
-    backend.  Frame squares end up carrying the global tail automatically
-    (shared base points, root cluster).
-    """
-    if ct.square_cluster is None:
-        assign_clusters(ct, wd)
-    assign = ct.square_cluster
+    """Extend boundary data to the plane: the tree backend extends the leaf
+    slopes of the data to every cluster, and each square's piece takes its
+    cluster's slope."""
     phi = LeafFunction.from_array(tree, leaf_slopes(ps, f))
     Phi = _tree_backend(backend)(tree, phi, p).to_array(tree)
-    kzq = np.rint(wd.z[:, 0] / ps.delta).astype(np.int64)
-    kwq = np.rint(wd.w[:, 0] / ps.delta).astype(np.int64)
-    fz = f.e1_values(ps, kzq)
-    fw = f.e1_values(ps, kwq)
-    b = (fz - fw) / ((kzq - kwq) * ps.delta)
-    a = fz - b * (kzq * ps.delta)
-    coefs = np.column_stack([a, b, Phi[assign]])
-    brow = int(np.flatnonzero(wd.boundary)[0])
-    tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
-    return PatchedInterpolant(wd, coefs, tail)
+    return _interpolant(ps, wd, ct, f, Phi)
 
 
 def verify_restriction(F: PatchedInterpolant, ps: PlanarSet, f: PlanarData,
@@ -164,16 +170,16 @@ def _node_values_from_field(tree: WeightedTree, ct: ClusterTree, phi_arr,
 def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
                             wd: WhitneyDecomposition, ct: ClusterTree,
                             phi: LeafFunction, p: float,
-                            tree_backend="optimal", planar_backend=None,
-                            rings: int = 64, angles: int = 128) -> NodeFunction:
+                            tree_backend="optimal", rings: int = 64,
+                            angles: int = 128) -> NodeFunction:
     """Extend leaf data through the plane: leaves keep their values exactly,
     every internal node gets the disk average of the vertical derivative of
-    the planar extension over its cluster ball."""
-    f = PlanarData.from_leaf_function(tree, ps, phi)
-    if planar_backend is None:
-        F = planar_extend(tree, ps, wd, ct, f, p, backend=tree_backend)
-    else:
-        F = planar_backend(f)
+    the planar extension of the lifted data over its cluster ball.  The tree
+    backend extends phi itself; the leaf slopes read back off its lift equal
+    phi only up to rounding."""
+    Phi = _tree_backend(tree_backend)(tree, phi, p).to_array(tree)
+    F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
+                     Phi)
     vals = _node_values_from_field(tree, ct, phi.to_array(tree), F, rings,
                                    angles)
     return NodeFunction.from_array(tree, vals)
@@ -192,15 +198,15 @@ def _run_trial(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
     opt = optimal_extension(tree, phi, p)
     den = edge_energy(tree, opt.to_array(tree), p) ** (1.0 / p)
     ext = opt if backend == "optimal" else _tree_backend(backend)(tree, phi, p)
-    f = PlanarData.from_leaf_function(tree, ps, phi)
-    F = planar_extend(tree, ps, wd, ct, f, p, backend=lambda *_: ext)
-    num_plane, quad_err = ew.seminorm(ext.to_array(tree), F)
+    Phi = ext.to_array(tree)
+    F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
+                     Phi)
+    num_plane, quad_err = ew.seminorm(Phi, F)
     node_vals = _node_values_from_field(tree, ct, vals, F, rings, angles)
     num_tree = seminorm_tree(tree, NodeFunction.from_array(tree, node_vals), p)
     return {
         "seed": seed, "trial": t, "N": tree.N, "depth": int(tree.depths.max()),
-        "epsilon": tree.epsilon, "p": p,
-        "backend": backend if isinstance(backend, str) else "custom",
+        "epsilon": tree.epsilon, "p": p, "backend": backend,
         "rho_plane": num_plane / den, "rho_tree": num_tree / den,
         "quad_error": quad_err,
         "quad_rel": quad_err / num_plane if num_plane > 0 else 0.0,

@@ -190,12 +190,12 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
                 p_values=(1.25, 1.5, 1.75), blend_points: int = 10_000,
                 seed: int = 0, n_patch_fields: int = 2,
                 n_ball_fields: int = 2, quad_order: int = 12,
-                rings: int = 128, angles: int = 256, geometry=None,
-                try_whitney: bool = True) -> dict:
+                rings: int = 128, angles: int = 256, geometry=None) -> dict:
     """Run every geometric check the tree admits and report each one.
 
-    `geometry` reuses a prebuilt (ps, wd, ct); otherwise the decomposition is
-    attempted and skipped (not failed) if the square budget rules it out.
+    `geometry` reuses a prebuilt (ps, wd or None, ct) as given; otherwise the
+    decomposition is attempted and skipped (not failed) if the square budget
+    rules it out.
     Checks carrying an `ok` flag decide the overall verdict; everything else
     is a measured constant along for the ride.
     """
@@ -203,8 +203,12 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
     skipped: dict[str, str] = {}
     if geometry is None:
         ps = build_planar_set(tree)
-        wd = None
         ct = None
+        try:
+            wd = decompose(ps)
+        except WhitneyCapError as exc:
+            wd = None
+            skipped["decomposition"] = str(exc)
     else:
         ps, wd, ct = geometry
     rep = verify_lemma_psi(tree, ps)
@@ -222,11 +226,6 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
     if ct is not None and n_ball_fields > 0:
         checks["ball_estimate"] = ball_estimate_survey(
             ct, n_ball_fields, seed, rings=rings, angles=angles)
-    if wd is None and try_whitney:
-        try:
-            wd = decompose(ps)
-        except WhitneyCapError as exc:
-            skipped["decomposition"] = str(exc)
     if wd is not None:
         checks["partition"] = verify_partition(wd)
         checks["stopping_rule"] = verify_cz(wd)
@@ -278,18 +277,9 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
 
 def verify_instance(inst: Instance, kappa: float = 10.25, **kw) -> dict:
     tree, ps, wd, ct = instance_geometry(inst, kappa=kappa)
-    kw.setdefault("try_whitney", False)  # the cache already decided feasibility
     rep = verify_tree(tree, kappa=kappa, geometry=(ps, wd, ct), **kw)
     rep["instance"] = asdict(inst)
     return rep
-
-
-def verify_suite(instances=None, **kw) -> dict:
-    """Reports for a set of instances (default: the whole registry)."""
-    out = {}
-    for inst in (CANONICAL if instances is None else instances):
-        out[inst.name] = verify_instance(inst, **kw)
-    return {"instances": out, "ok": all(r["ok"] for r in out.values())}
 
 
 def scale_sum_survey(instances=None, kappa: float = 20.0,

@@ -5,8 +5,9 @@ E = E1 union E2; the surviving squares partition Q0 exactly (all square
 arithmetic is integer), each sees at most one point in its 1.1-dilate, and the
 side lengths stay above Delta/20.  On top of the decomposition this module
 builds the touching graph, the I/II/III classification with witnesses, the
-basepoint pairs on the grid E1, and a C2 partition of unity subordinate to the
-1.1-dilates with analytic first and second derivatives.
+basepoint pairs on the grid E1 (stored as grid indices), and a C2 partition
+of unity subordinate to the 1.1-dilates with analytic first and second
+derivatives.
 
 Conventions.  Dilates rQ are closed; point-membership predicates get a
 1e-12 * side outward slack because E2 coordinates are floats, while
@@ -19,7 +20,6 @@ is rechecked against a brute-force oracle on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
 import math
 
 import numpy as np
@@ -158,7 +158,8 @@ class WhitneyDecomposition:
     type_codes hold 1/2/3 with witnesses e1_witness (grid index, Type I) and
     e2_witness (E2 row, Type II); boundary marks squares touching the frame.
     neighbors_indptr/neighbors gives the touching lists (self included).
-    Basepoint arrays z/w are E1 points chosen per square type.
+    Base points kz/kw are grid indices into E1 (the points k * ps.delta on
+    the axis), chosen per square type.
     """
 
     def __init__(self, ps: PlanarSet | None, levels, ixs, iys):
@@ -194,10 +195,8 @@ class WhitneyDecomposition:
                          (self.ixs == top) | (self.iys == top))
         self.neighbors_indptr, self.neighbors = _touching_graph(
             self.x0i, self.y0i, self.sidei)
-        self.z = np.full((self.n, 2), np.nan)
-        self.w = np.full((self.n, 2), np.nan)
-        self.e2_anchor_z = None
-        self.e2_anchor_w = None
+        self.kz = np.full(self.n, -1, dtype=np.int64)
+        self.kw = np.full(self.n, -1, dtype=np.int64)
 
     # -- lookups ---------------------------------------------------------
 
@@ -231,17 +230,6 @@ class WhitneyDecomposition:
 
     def __len__(self) -> int:
         return self.n
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["level", "ix", "iy", "type", "boundary",
-                         "z_x", "z_y", "w_x", "w_y"])
-            for i in range(self.n):
-                wr.writerow([self.levels[i], self.ixs[i], self.iys[i],
-                             int(self.type_codes[i]), int(self.boundary[i]),
-                             self.z[i, 0], self.z[i, 1],
-                             self.w[i, 0], self.w[i, 1]])
 
 
 def _morton_padded(levels, ixs, iys, max_level=None) -> np.ndarray:
@@ -365,38 +353,22 @@ def e2_anchor_indices(ps: PlanarSet) -> tuple[np.ndarray, np.ndarray]:
     return kz, kw
 
 
-def e2_anchors(ps: PlanarSet, x) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor pair (z_x, w_x) for one E2 point."""
-    x = np.asarray(x, dtype=float)
-    row = np.flatnonzero((ps.e2[:, 0] == x[0]) & (ps.e2[:, 1] == x[1]))
-    if row.size == 0:
-        raise KeyError(f"point {x.tolist()} is not in E2")
-    kz, kw = e2_anchor_indices(ps)
-    j = int(row[0])
-    return (np.array([kz[j] * ps.delta, 0.0]),
-            np.array([kw[j] * ps.delta, 0.0]))
-
-
 def _assign_basepoints(wd: WhitneyDecomposition) -> None:
     ps = wd.ps
     d = ps.delta
-    n = wd.n
-    kz = np.empty(n, dtype=np.int64)
-    kw = np.empty(n, dtype=np.int64)
     last = ps.e1_count - 1
     # generic Type III: grid point under the center, partner ~delta_Q away
-    kz[:] = np.clip(np.ceil(wd.cx / d - 0.5).astype(np.int64), 0, last)
+    kz = np.clip(np.ceil(wd.cx / d - 0.5).astype(np.int64), 0, last)
     steps = np.maximum(1, np.rint(wd.delta / d).astype(np.int64))
-    kw[:] = np.where(kz + steps <= last, kz + steps,
-                     np.where(kz - steps >= 0, kz - steps,
-                              np.where(kz <= last - kz, last, 0)))
+    kw = np.where(kz + steps <= last, kz + steps,
+                  np.where(kz - steps >= 0, kz - steps,
+                           np.where(kz <= last - kz, last, 0)))
     # Type I: the witness grid point plus its immediate neighbor
     m1 = wd.type_codes == TYPE_I
     kz[m1] = wd.e1_witness[m1]
     kw[m1] = np.where(kz[m1] + 1 <= last, kz[m1] + 1, kz[m1] - 1)
     # Type II: the anchors of the witness E2 point
     az, aw = e2_anchor_indices(ps)
-    wd.e2_anchor_z, wd.e2_anchor_w = az, aw
     m2 = wd.type_codes == TYPE_II
     kz[m2] = az[wd.e2_witness[m2]]
     kw[m2] = aw[wd.e2_witness[m2]]
@@ -404,8 +376,7 @@ def _assign_basepoints(wd: WhitneyDecomposition) -> None:
     mb = wd.boundary
     kz[mb] = 0
     kw[mb] = last
-    wd.z = np.column_stack([kz * d, np.zeros(n)])
-    wd.w = np.column_stack([kw * d, np.zeros(n)])
+    wd.kz, wd.kw = kz, kw
 
 
 def neighbors(wd: WhitneyDecomposition, q: DyadicSquare) -> set[DyadicSquare]:
@@ -428,7 +399,8 @@ def classify(wd: WhitneyDecomposition, q: DyadicSquare):
 
 def basepoints(wd: WhitneyDecomposition, ps: PlanarSet, q: DyadicSquare):
     row = wd.row_of(q)
-    return wd.z[row].copy(), wd.w[row].copy()
+    return (np.array([wd.kz[row] * ps.delta, 0.0]),
+            np.array([wd.kw[row] * ps.delta, 0.0]))
 
 
 # -- naive oracle ---------------------------------------------------------------
@@ -716,9 +688,12 @@ def verify_basepoints(wd: WhitneyDecomposition, k0: float = K0) -> dict:
     """Containment z,w in K0*Q for every square and the spread |z-w|/side."""
     tol = REL_TOL * wd.delta
     hw = 0.5 * k0 * wd.delta + tol
-    inz = (np.abs(wd.z[:, 0] - wd.cx) <= hw) & (np.abs(wd.z[:, 1] - wd.cy) <= hw)
-    inw = (np.abs(wd.w[:, 0] - wd.cx) <= hw) & (np.abs(wd.w[:, 1] - wd.cy) <= hw)
-    sep = np.hypot(wd.z[:, 0] - wd.w[:, 0], wd.z[:, 1] - wd.w[:, 1])
+    zx = wd.kz * wd.ps.delta
+    wx = wd.kw * wd.ps.delta
+    on_axis = np.abs(wd.cy) <= hw       # z and w lie on the axis x2 = 0
+    inz = (np.abs(zx - wd.cx) <= hw) & on_axis
+    inw = (np.abs(wx - wd.cx) <= hw) & on_axis
+    sep = np.abs(zx - wx)
     distinct = bool(np.all(sep > 0))
     spread = sep / wd.delta
     return {"ok": bool(np.all(inz) and np.all(inw)) and distinct,

@@ -156,6 +156,7 @@ def test_build_summary_accounts_for_every_square(tmp_path):
     out = tmp_path / "build.json"
     assert main(["build", "--tree", str(tree), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
+    assert doc["params"] == {"kappa": 10.25}
     dec = doc["decomposition"]
     assert sum(dec["type_counts"].values()) == dec["squares"]
     assert doc["clusters"]["report"]["violations"] == []

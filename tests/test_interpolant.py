@@ -5,8 +5,7 @@ from treeplane import WeightedTree
 from treeplane.embedding import build_planar_set
 from treeplane.whitney import decompose
 from treeplane.interpolant import (AffinePolynomial, PatchedInterpolant,
-                                   affine_through, horizontal_affine,
-                                   pair_linf_sum)
+                                   affine_through, pair_linf_sum)
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +76,6 @@ def test_affine_through_unit_triangle():
 def test_affine_through_colinear_raises():
     with pytest.raises(ValueError, match="colinear"):
         affine_through((0, 0), (1, 0), (2, 0), 0.0, 1.0, 2.0)
-
-
-def test_horizontal_affine():
-    P = horizontal_affine((0.3, 0.0), (1.3, 0.0), 5.0, 5.0)
-    assert (P.a, P.b, P.c) == (5.0, 0.0, 0.0)
-    Q = horizontal_affine((0.0, 0.0), (1.0, 0.0), 0.0, 1.0)
-    assert (Q.a, Q.b, Q.c) == (0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        horizontal_affine((0.5, 0.0), (0.5, 0.0), 0.0, 1.0)
 
 
 def test_constructor_validation(small_wd):

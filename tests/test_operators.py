@@ -6,14 +6,15 @@ import csv
 import numpy as np
 import pytest
 
+from treeplane import operators
 from treeplane.analysis import edge_weights, planar_seminorm
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial
-from treeplane.operators import (PlanarData, _tree_backend, leaf_slopes,
-                                 norm_ratio_experiment, planar_extend,
-                                 tree_extend_from_planar, verify_restriction,
-                                 write_experiment_csv)
+from treeplane.operators import (PlanarData, _interpolant, _tree_backend,
+                                 leaf_slopes, norm_ratio_experiment,
+                                 planar_extend, tree_extend_from_planar,
+                                 verify_restriction, write_experiment_csv)
 from treeplane.suite import canonical, instance_geometry
 from treeplane.tree_core import LeafFunction, WeightedTree
 from treeplane.tree_extension import optimal_extension
@@ -98,8 +99,6 @@ def test_leaf_slopes_invert_the_lift(tri):
 
 
 def test_tree_backend_dispatch():
-    marker = lambda tree, phi, p: "sentinel"
-    assert _tree_backend(marker) is marker
     with pytest.raises(ValueError, match="unknown backend"):
         _tree_backend("steepest")
 
@@ -174,6 +173,25 @@ def test_round_trip_of_constant_is_constant(tri):
     assert np.max(np.abs(arr - 1.7)) <= 1e-9
 
 
+def test_round_trip_solves_the_given_leaf_data(monkeypatch):
+    # the tree solve must see phi itself, not slopes re-read off its lift
+    tree, ps, wd, ct = instance_geometry(canonical("n3d1-loose"))
+    seen = []
+
+    def spy(tree, phi, p):
+        seen.append(phi.to_array(tree))
+        return optimal_extension(tree, phi, p)
+
+    monkeypatch.setattr(operators, "optimal_extension", spy)
+    for seed in range(20):
+        vals = np.random.default_rng(seed).standard_normal(tree.n_leaves)
+        phi = LeafFunction.from_array(tree, vals)
+        tree_extend_from_planar(tree, ps, wd, ct, phi, p=1.5, rings=4,
+                                angles=8)
+        assert np.array_equal(seen[-1], vals), seed
+    assert len(seen) == 20
+
+
 def test_experiment_rejects_empty_run(tri):
     tree, ps, wd, ct = tri
     with pytest.raises(ValueError, match="n_trials"):
@@ -218,10 +236,9 @@ def test_experiment_geometry_matches_rebuild(pair):
 def _lifted_interpolant(tree, ps, wd, ct, seed, p=1.5):
     rng = np.random.default_rng(seed)
     phi = LeafFunction.from_array(tree, rng.standard_normal(tree.n_leaves))
-    ext = optimal_extension(tree, phi, p)
+    Phi = optimal_extension(tree, phi, p).to_array(tree)
     f = PlanarData.from_leaf_function(tree, ps, phi)
-    F = planar_extend(tree, ps, wd, ct, f, p, backend=lambda *_: ext)
-    return ext.to_array(tree), F
+    return Phi, _interpolant(ps, wd, ct, f, Phi)
 
 
 def _assert_same_seminorm(ew, Phi, F):

@@ -6,7 +6,7 @@ from treeplane.embedding import build_planar_set
 from treeplane.whitney import (DyadicSquare, TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
                                basepoints, classify, decompose,
-                               decompose_naive, e2_anchors, neighbors,
+                               decompose_naive, e2_anchor_indices, neighbors,
                                neighbors_naive, pou_eval, pou_table,
                                verify_basepoints, verify_boundary, verify_cz,
                                verify_dist_bd, verify_partition)
@@ -86,15 +86,6 @@ def test_cz_lemma_fields(coarse, medium):
         rep = verify_cz(wd)
         assert rep["ok"], rep
         assert rep["max_neighbors"] <= 12
-
-
-def test_dump_csv(coarse, tmp_path):
-    _, wd = coarse
-    path = tmp_path / "squares.csv"
-    wd.dump_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == wd.n + 1
-    assert lines[0].startswith("level,ix,iy,type,boundary")
 
 
 # -- neighbors ----------------------------------------------------------------
@@ -200,27 +191,20 @@ def test_e2_anchor_example():
                         N=3, epsilon=0.1)
     ps = build_planar_set(tree)
     assert ps.delta == 0.01
-    x = ps.e2[ps.leaf_index["1"]]
-    assert np.array_equal(x, [0.5, 0.1])
-    z, w = e2_anchors(ps, x)
-    assert np.allclose(z, [0.5, 0.0], atol=1e-15)
-    assert np.allclose(w, [0.6, 0.0], atol=1e-12)
+    j = ps.leaf_index["1"]
+    assert np.array_equal(ps.e2[j], [0.5, 0.1])
+    kz, kw = e2_anchor_indices(ps)
+    assert kz[j] * ps.delta == pytest.approx(0.5, abs=1e-15)
+    assert kw[j] * ps.delta == pytest.approx(0.6, abs=1e-12)
 
 
 def test_e2_anchor_spread_bound(medium):
     ps, _ = medium
-    from treeplane.whitney import e2_anchor_indices
     kz, kw = e2_anchor_indices(ps)
     gap = np.abs(kw - kz) * ps.delta
     y = ps.e2[:, 1]
     assert np.all(gap >= y - ps.delta - 1e-15)
     assert np.all(gap <= y + ps.delta + 1e-15)
-
-
-def test_e2_anchor_unknown_point(medium):
-    ps, _ = medium
-    with pytest.raises(KeyError):
-        e2_anchors(ps, (0.123456, 0.7))
 
 
 # -- partition of unity ---------------------------------------------------------
