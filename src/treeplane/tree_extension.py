@@ -171,7 +171,7 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
             # Newton decrement^2; for the convex stage objective it bounds the
             # remaining suboptimality near the optimum
             decr = -float(g @ step)
-            if decr <= 1e-12 * max(jcur, 1e-300):
+            if decr <= max(1e-12 * jcur, noise):
                 ok = True
                 break
             t = 1.0

@@ -13,8 +13,10 @@ Conventions.  Dilates rQ are closed; point-membership predicates get a
 1e-12 * side outward slack because E2 coordinates are floats, while
 square-square predicates are exact in scaled integers (side * 20 makes the
 1.1-dilate corners integral).  The touching relation is computed from shared
-boundary (faces and corners); that it coincides with "1.1-dilates intersect"
-is rechecked against a brute-force oracle on small instances.
+boundary: one sweep over vertical face lines finds face and corner contacts,
+one over horizontal face lines finds the remaining face contacts, so each
+touching pair is found exactly once.  That it coincides with "1.1-dilates
+intersect" is rechecked against a brute-force oracle on small instances.
 """
 
 from __future__ import annotations
@@ -239,42 +241,44 @@ def _morton_padded(levels, ixs, iys, max_level=None) -> np.ndarray:
 
 
 def _touching_graph(x0, y0, side):
-    """CSR touching lists from two exact sweeps over shared face lines.
+    """CSR touching lists (self included, ascending) from two exact sweeps
+    over shared face lines that between them find each touching pair once.
 
     Two interior-disjoint axis-aligned squares intersect iff a right face
-    meets a left face or a top face meets a bottom face (corner contacts show
-    up in both sweeps at a single shared coordinate); intervals are closed.
+    meets a left face or a top face meets a bottom face.  The vertical-face
+    sweep takes closed overlap along y, so it also finds the corner contacts;
+    the horizontal-face sweep takes open overlap along x, so it finds only
+    squares sharing a horizontal face of positive length.
     """
     n = x0.shape[0]
-    pairs = [np.column_stack([np.arange(n), np.arange(n)])]
-    for a_lo, a_hi, b in ((x0, x0 + side, y0), (y0, y0 + side, x0)):
+    src, dst = [np.arange(n)], [np.arange(n)]
+    for a_lo, a_hi, b, closed in ((x0, x0 + side, y0, True),
+                                  (y0, y0 + side, x0, False)):
         b_hi = b + side
         # coordinates are at most 2^31, so the keys stay below 2^62 + 2^32
         key_shift = int(np.max(a_hi)) + 1
         # faces of square i: "plus side" at coordinate a_hi, "minus side" at a_lo
         order_minus = np.argsort(a_lo * key_shift + b, kind="stable")
         minus_line = a_lo[order_minus]
-        minus_b0 = b[order_minus]
-        minus_b1 = b_hi[order_minus]
         # within a line the b-intervals are disjoint, so b0 and b1 are both sorted
-        comp0 = minus_line * key_shift + minus_b0
-        comp1 = minus_line * key_shift + minus_b1
-        lo_idx = np.searchsorted(comp1, a_hi * key_shift + b, side="left")
-        hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi, side="right")
+        comp0 = minus_line * key_shift + b[order_minus]
+        comp1 = minus_line * key_shift + b_hi[order_minus]
+        # closed: b1_j >= b_i and b0_j <= b1_i; open: both strict
+        lo_idx = np.searchsorted(comp1, a_hi * key_shift + b,
+                                 side="left" if closed else "right")
+        hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi,
+                                 side="right" if closed else "left")
         counts = np.maximum(0, hi_idx - lo_idx)
-        left = np.repeat(np.arange(n), counts)
         offs = np.arange(counts.sum()) - np.repeat(
             np.cumsum(counts) - counts, counts)
-        right = order_minus[np.repeat(lo_idx, counts) + offs]
-        pairs.append(np.column_stack([left, right]))
-    allp = np.vstack(pairs)
-    allp = np.vstack([allp, allp[:, ::-1]])
-    keys = allp[:, 0] * n + allp[:, 1]
-    uniq = np.unique(keys)
-    src = (uniq // n).astype(np.int64)
-    dst = (uniq % n).astype(np.int64)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        plus = np.repeat(np.arange(n), counts)
+        minus = order_minus[np.repeat(lo_idx, counts) + offs]
+        src += [plus, minus]
+        dst += [minus, plus]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # rows ascending by (src, dst); sorting the keys beats argsort + gather
+    dst = np.sort(src * n + dst) % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     return indptr, dst
 
 
@@ -668,12 +672,11 @@ def verify_dist_bd(wd: WhitneyDecomposition) -> dict:
     y0, y1 = wd.cy - h, wd.cy + h
     d1 = dist_to_e1(ps, x0, y0, x1, y1)
     r = wd.delta / (ps.delta + d1)
-    dx = np.maximum(0.0, np.maximum(ps.e2[None, :, 0] - x1[:, None],
-                                    x0[:, None] - ps.e2[None, :, 0]))
-    dy = np.maximum(0.0, np.maximum(ps.e2[None, :, 1] - y1[:, None],
-                                    y0[:, None] - ps.e2[None, :, 1]))
-    d2 = np.hypot(dx, dy).min(axis=1)
-    de = np.minimum(d1, d2)
+    de = d1
+    for ex, ey in ps.e2:
+        dx = np.maximum(0.0, np.maximum(ex - x1, x0 - ex))
+        dy = np.maximum(0.0, np.maximum(ey - y1, y0 - ey))
+        de = np.minimum(de, np.hypot(dx, dy))
     m3 = (wd.type_codes == TYPE_III) & ~wd.boundary
     out = {"ratio_min": float(r.min()), "ratio_max": float(r.max())}
     if np.any(m3):

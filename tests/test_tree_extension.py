@@ -7,6 +7,10 @@ from treeplane import (ExtensionSolveError, LeafFunction, NodeFunction,
                        optimal_extension, random_tree, seminorm_tree,
                        trace_seminorm)
 from treeplane import tree_extension
+from treeplane.embedding import build_planar_set
+from treeplane.interpolant import AffinePolynomial
+from treeplane.operators import PlanarData, leaf_slopes
+from treeplane.suite import canonical, instance_tree
 from treeplane.tree_core import edge_energy
 
 
@@ -112,6 +116,21 @@ def test_newton_stall_raises(monkeypatch):
     best = info.value.best.to_array(t)
     assert np.array_equal(best, averaging_extension(t, phi).to_array(t))
     assert np.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+def test_affine_leaf_slopes_converge(p):
+    # the leaf slopes of exactly affine planar data are 1.1 up to float noise
+    # (span 1.6e-12, just above the near-constant cut-off), so Newton's
+    # decrement must be judged against that noise, not stall below it
+    tree = instance_tree(canonical("n2d2-mid"))
+    ps = build_planar_set(tree)
+    f = PlanarData.from_affine(ps, AffinePolynomial(0.3, -0.7, 1.1))
+    phi = leaf_slopes(ps, f)
+    vals = optimal_extension(tree, LeafFunction.from_array(tree, phi),
+                             p).to_array(tree)
+    assert np.array_equal(vals[tree.is_leaf], phi)
+    assert np.max(np.abs(vals - 1.1)) <= 1e-11
 
 
 # -- harmonic_extension_p2 ----------------------------------------------------
