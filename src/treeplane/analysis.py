@@ -10,8 +10,9 @@ the integrand vanishes identically, not just approximately.
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
 of |jump|^p times a fixed weight.  `edge_weights` integrates those unit
-jumps once (same kernel, same two orders); squares touching two or more
-other clusters stay on the direct quadrature.
+jumps once (same kernel, same two orders), and only one square per class of
+local configurations, which fix the integral up to the scale delta^(2-p);
+squares touching two or more other clusters stay on the direct quadrature.
 """
 
 from __future__ import annotations
@@ -89,19 +90,25 @@ def _hess_power_sum_pointwise(F: PatchedInterpolant, rows: np.ndarray,
     return total
 
 
+def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Touching lists of rows R padded to a rectangle by repeating their last
+    entry: (cand, valid)."""
+    indptr = wd.neighbors_indptr
+    cnt = indptr[R + 1] - indptr[R]
+    ar = np.arange(int(cnt.max(initial=0)))[None, :]
+    valid = ar < cnt[:, None]
+    cand = wd.neighbors[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
+    return cand, valid
+
+
 def _row_batches(wd, rows: np.ndarray, order: int):
     """Rows in batches sized for the tensor rule of `order`, each with its
     touching list padded to a rectangle: (R, cand, valid)."""
-    indptr, nbrs = wd.neighbors_indptr, wd.neighbors
     m = _panel_rule(order)[0].size
     step = max(1, 2_000_000 // (m * m))
     for lo in range(0, rows.size, step):
         R = rows[lo:lo + step]
-        cnt = indptr[R + 1] - indptr[R]
-        ar = np.arange(int(cnt.max()))[None, :]
-        valid = ar < cnt[:, None]
-        cand = nbrs[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
-        yield R, cand, valid
+        yield (R, *_touching_lists(wd, R))
 
 
 def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
@@ -234,7 +241,9 @@ class EdgeWeights:
     p is sum over pairs |Phi[a] - Phi[b]|^p * M[pair], plus the direct
     integral over `mixed_rows`, the squares touching two or more other
     clusters.  pairs holds cluster rows (a < b); M_coarse and M_fine are the
-    weights at quad_order and at 2 * quad_order.
+    weights at quad_order and at 2 * quad_order.  n_rows counts the squares
+    with one other cluster and n_classes their configuration classes, one
+    integral each (see `edge_weights`); both are read-only output.
     """
 
     p: float
@@ -243,6 +252,8 @@ class EdgeWeights:
     M_coarse: np.ndarray
     M_fine: np.ndarray
     mixed_rows: np.ndarray
+    n_rows: int
+    n_classes: int
 
     def seminorm(self, Phi: np.ndarray, F: PatchedInterpolant,
                  refine_tol: float = 0.01) -> tuple[float, float]:
@@ -260,10 +271,52 @@ class EdgeWeights:
         return _order_doubling_estimate(coarse, fine, self.p, refine_tol)
 
 
+def _configuration_classes(wd, lab: np.ndarray,
+                           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of rows with the same unit-jump field up to scale: (index in
+    rows of each class's first row, class of each row).
+
+    A unit jump on row r reads only r's touching list and the height of its
+    centre, so a row's configuration is that list, each entry being (level
+    difference, centre offsets in quarter sides of r, other-cluster flag),
+    plus 4 * 2 * cy / delta.  Rows of one configuration have the same
+    integral divided by delta^(2 - p).  |Hessian| is unchanged by y -> -y,
+    which negates the y offsets and the height, so a configuration and its
+    mirror share a class.  Integer arithmetic throughout.
+    """
+    cand, valid = _touching_lists(wd, rows)
+    s = wd.sidei[rows][:, None]
+    dside = wd.sidei[cand] - s
+    ox = (4 * (wd.x0i[cand] - wd.x0i[rows][:, None]) + 2 * dside) // s
+    oy = (4 * (wd.y0i[cand] - wd.y0i[rows][:, None]) + 2 * dside) // s
+    dl = wd.levels[cand] - wd.levels[rows][:, None]
+    other = lab[cand] != lab[rows][:, None]
+    # 4 * 2 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
+    # the way up the frame [-3, 5]
+    height = 8 * wd.iys[rows] + 4 - (3 << wd.levels[rows].astype(np.int64))
+    # one integer per entry, digits (dl + 1, ox + 6, oy + 6, flag) in radix
+    # (3, 13, 13, 2): touching squares have |dl| <= 1 and centre offsets
+    # within 6 quarters; the padding sorts last
+    keys = []
+    for sign in (1, -1):
+        entry = (((dl + 1) * 13 + ox + 6) * 13 + sign * oy + 6) * 2 + other
+        entry = np.sort(np.where(valid, entry, 3 * 13 * 13 * 2), axis=1)
+        keys.append(np.column_stack([sign * height, entry]))
+    _, inv = np.unique(np.vstack(keys), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    folded = np.minimum(inv[:rows.size], inv[rows.size:])
+    _, first, cls = np.unique(folded, return_index=True, return_inverse=True)
+    return first, cls.ravel()
+
+
 def edge_weights(wd, ct: ClusterTree, p: float,
                  quad_order: int = 12) -> EdgeWeights:
     """Unit-jump weights of every touching cluster pair of the assigned
-    decomposition (see EdgeWeights), at quad_order and its double."""
+    decomposition (see EdgeWeights), at quad_order and its double.
+
+    One row per configuration class is integrated; every row of the class
+    takes that integral times (delta_row / delta_first)^(2 - p).
+    """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
     if ct.square_cluster is None:
@@ -281,19 +334,23 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     a = np.minimum(lab[rows], partner)
     b = np.maximum(lab[rows], partner)
     keys, pair_of_row = np.unique(a * n + b, return_inverse=True)
+    first, cls = _configuration_classes(wd, lab, rows)
+    reps = rows[first]
+    scale = np.exp2((wd.levels[reps][cls] - wd.levels[rows]) * (2.0 - p))
     M = []
     for order in (quad_order, 2 * quad_order):
-        per_row = np.empty(rows.size)
+        per_class = np.empty(reps.size)
         done = 0
-        for R, cand, valid in _row_batches(wd, rows, order):
+        for R, cand, valid in _row_batches(wd, reps, order):
             dc = (lab[cand] != lab[R][:, None]).astype(float)
             dens = _hess_power(wd, R, cand, valid, None, None, dc, p, order)
-            per_row[done:done + R.size] = dens.sum(axis=(1, 2))
+            per_class[done:done + R.size] = dens.sum(axis=(1, 2))
             done += R.size
-        M.append(np.bincount(pair_of_row, weights=per_row,
+        M.append(np.bincount(pair_of_row, weights=scale * per_class[cls],
                              minlength=keys.size))
     pairs = np.column_stack([keys // n, keys % n])
-    return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed)
+    return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed,
+                       int(rows.size), int(reps.size))
 
 
 def disk_rule(center, radius: float, rings: int = 64,

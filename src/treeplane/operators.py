@@ -243,10 +243,11 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
     Per trial: rho_plane is the planar seminorm of the extension of the lifted
     data over the trace seminorm of the leaf data; rho_tree is the tree
     seminorm of the round trip (plane and back) over the same trace seminorm.
-    The planar seminorm comes from edge weights integrated once per call;
-    with the optimal backend their largest ratio to the tree weights bounds
-    every rho_plane (`rho_plane_bound`, else None).  Deterministic given the
-    seed; constant draws are resampled.
+    The planar seminorm comes from edge weights integrated once per call, one
+    integral per configuration class (`edge_weight_classes` classes over
+    `edge_weight_rows` squares); with the optimal backend their largest
+    ratio to the tree weights bounds every rho_plane (`rho_plane_bound`,
+    else None).  Deterministic given the seed; constant draws are resampled.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -269,6 +270,7 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
         "kappa": kappa, "K1": ct.K1, "quad_order": quad_order,
         "rho_plane_bound": None if bound is None else bound[0],
         "rho_plane_bound_error": None if bound is None else bound[1],
+        "edge_weight_rows": ew.n_rows, "edge_weight_classes": ew.n_classes,
         "rho_plane": {"min": float(rp.min()), "median": float(np.median(rp)),
                       "max": float(rp.max())},
         "rho_tree": {"min": float(rt.min()), "median": float(np.median(rt)),

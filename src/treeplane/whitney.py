@@ -601,6 +601,9 @@ def verify_cz(wd: WhitneyDecomposition) -> dict:
     counts = np.diff(wd.neighbors_indptr)
     src = np.repeat(np.arange(wd.n), counts)
     dst = wd.neighbors
+    # both checks are symmetric and hold on self pairs: test each pair once
+    once = src < dst
+    src, dst = src[once], dst[once]
     ratio_ok = bool(np.all(np.abs(wd.levels[src] - wd.levels[dst]) <= 1))
     gap_x = np.maximum(wd.x0i[src] - (wd.x0i[dst] + wd.sidei[dst]),
                        wd.x0i[dst] - (wd.x0i[src] + wd.sidei[src]))

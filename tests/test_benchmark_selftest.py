@@ -1,11 +1,15 @@
 """The benchmark's self-test, run with the package tests so that an API
-change which breaks the benchmark's traced wrappers fails here too, and a
-pin of one registry geometry to the benchmark's recorded reference."""
+change which breaks the benchmark's traced wrappers fails here too, and pins
+of one registry geometry and of the ratio-trials rows to the benchmark's
+recorded reference."""
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from treeplane.operators import norm_ratio_experiment
 from treeplane.suite import canonical, instance_geometry
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -29,3 +33,23 @@ def test_geometry_matches_benchmark_reference():
     got = {k: counts[k] for k in ("squares", "max_level", "touching_pairs")}
     got["digest"] = workloads.geometry_digest(tree, wd, ct)
     assert got == want
+
+
+def test_ratio_rows_match_benchmark_reference():
+    """The ratio-trials calls at the reference seed reproduce the recorded
+    rows far inside the workload's own tolerance (quad_rel on rho_plane)."""
+    import workloads
+    ref = json.loads((BENCHMARK / "reference.json").read_text())
+    for name in workloads.RatioTrials.INSTANCES:
+        tree, ps, wd, ct = instance_geometry(canonical(name), workloads.KAPPA)
+        rep = norm_ratio_experiment(tree, workloads.P,
+                                    workloads.TRIALS_PER_CALL, ref["seed"],
+                                    kappa=workloads.KAPPA,
+                                    geometry=(ps, wd, ct))
+        want = ref["ratio-trials"][name]
+        assert [r["trial"] for r in rep["rows"]] == [w["trial"] for w in want]
+        for r, w in zip(rep["rows"], want):
+            assert r["rho_plane"] == pytest.approx(w["rho_plane"], rel=1e-12)
+            assert r["rho_tree"] == pytest.approx(w["rho_tree"], rel=1e-12)
+            assert r["quad_error"] == pytest.approx(w["quad_error"],
+                                                    rel=1e-9)

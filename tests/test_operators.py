@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from treeplane import operators
-from treeplane.analysis import edge_weights, planar_seminorm
+from treeplane.analysis import (_hess_power, _row_batches, edge_weights,
+                                planar_seminorm)
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial
@@ -246,7 +247,7 @@ def _assert_same_seminorm(ew, Phi, F):
     want_value, want_err = planar_seminorm(F, ew.p, quad_order=ew.quad_order)
     assert want_value > 0.0 and want_err > 0.0
     assert abs(value - want_value) <= 1e-12 * want_value
-    assert abs(err - want_err) <= 1e-12 * want_err
+    assert abs(err - want_err) <= 1e-12 * want_value
 
 
 @pytest.mark.parametrize("name", ["tri", "n3d1-loose"])
@@ -263,6 +264,43 @@ def test_edge_weights_match_planar_seminorm(name, tri):
     for seed in (0, 1):
         Phi, F = _lifted_interpolant(tree, ps, wd, ct, seed)
         _assert_same_seminorm(ew, Phi, F)
+
+
+@pytest.mark.parametrize("name", ["tri", "n2d1-tight", "n3d1-loose",
+                                  "n2d2-loose"])
+def test_edge_weight_classes_match_per_row(name, tri):
+    """The class table gives the weights of integrating every square with
+    one other cluster on its own."""
+    if name == "tri":
+        tree, ps, wd, ct = tri
+    else:
+        tree, ps, wd, ct = instance_geometry(canonical(name))
+    lab = ct.square_cluster
+    ip, nb = wd.neighbors_indptr, wd.neighbors
+    src = np.repeat(np.arange(wd.n), np.diff(ip))
+    rows, pairs = [], []
+    for r in np.unique(src[lab[nb] != lab[src]]):
+        others = set(lab[nb[ip[r]:ip[r + 1]]].tolist()) - {lab[r]}
+        if len(others) == 1:
+            rows.append(r)
+            pairs.append(tuple(sorted((int(lab[r]), others.pop()))))
+    rows = np.array(rows)
+    ew = edge_weights(wd, ct, 1.5)
+    assert ew.n_rows == rows.size
+    assert 0 < ew.n_classes < ew.n_rows
+    index = {pq: i for i, pq in enumerate(map(tuple, ew.pairs.tolist()))}
+    assert set(pairs) == set(index)
+    pair_of_row = np.array([index[pq] for pq in pairs])
+    for order, got in ((ew.quad_order, ew.M_coarse),
+                       (2 * ew.quad_order, ew.M_fine)):
+        per_row = []
+        for R, cand, valid in _row_batches(wd, rows, order):
+            dc = (lab[cand] != lab[R][:, None]).astype(float)
+            dens = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, order)
+            per_row.append(dens.sum(axis=(1, 2)))
+        want = np.bincount(pair_of_row, weights=np.concatenate(per_row),
+                           minlength=len(index))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_edge_weights_mixed_rows_match_planar_seminorm(tri):
