@@ -2,9 +2,10 @@
 
 Subcommands cover the pipeline end to end: gen-tree writes instances,
 build/verify construct and check the geometry, extend-plane and extend-tree
-run the two directions, experiment produces the ratio CSV, bench times the
-hot paths.  Flags override config-file entries, which override the defaults
-below; every report echoes the effective values.  Exit codes: 0 success,
+run the two directions, experiment produces the ratio CSV.  The former
+bench subcommand is retired: `benchmark/run.py` is the one timing harness.
+Flags override config-file entries, which override the defaults below; every
+report echoes the effective values.  Exit codes: 0 success,
 1 verification failure, 2 invalid input, 3 numerical-tolerance failure.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -261,39 +261,6 @@ def cmd_experiment(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, cfg) -> int:
-    eff = _effective(args, cfg, ("p", "kappa", "quad_order", "seed"))
-    tree = _load_tree(args.tree)
-    t0 = time.perf_counter()
-    ps = build_planar_set(tree)
-    t_embed = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    wd = decompose(ps)
-    t_whitney = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ct = build_clusters(tree, ps, kappa=eff["kappa"])
-    assign_clusters(ct, wd)
-    t_clusters = time.perf_counter() - t0
-    rng = np.random.default_rng(eff["seed"])
-    vals = rng.standard_normal(tree.n_leaves)
-    phi = LeafFunction.from_array(tree, vals - vals.mean())
-    f = PlanarData.from_leaf_function(tree, ps, phi)
-    t0 = time.perf_counter()
-    F = planar_extend(tree, ps, wd, ct, f, eff["p"])
-    t_extend = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    from .analysis import planar_seminorm
-    value, err = planar_seminorm(F, eff["p"], quad_order=eff["quad_order"])
-    t_seminorm = time.perf_counter() - t0
-    doc = {"params": eff, "squares": int(wd.n),
-           "seminorm": value, "quad_error": err,
-           "seconds": {"embed": t_embed, "whitney": t_whitney,
-                       "clusters": t_clusters, "extend": t_extend,
-                       "seminorm": t_seminorm}}
-    _emit(doc, args.out)
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="treeplane", description=__doc__)
     top.add_argument("--config", help="JSON file of default overrides")
@@ -322,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("experiment", cmd_experiment, tree={"required": True}, p=num,
         kappa=num, quad_order=integer, trials=integer, seed=integer,
         backend={"choices": ["optimal", "averaging"]}, out={})
-    add("bench", cmd_bench, tree={"required": True}, p=num, kappa=num,
-        quad_order=integer, seed=integer, out={})
     return top
 
 

@@ -193,17 +193,18 @@ class PatchedInterpolant:
 def pair_linf_sum(F: PatchedInterpolant, p: float) -> tuple[float, float]:
     """sum over ordered touching pairs of sup_Q |P_Q - P_Q'|^p delta_Q^(2-2p),
     the right side of the patching estimate.  Also returns the largest single
-    piece difference for reporting."""
+    piece difference for reporting.  Only pairs whose pieces differ are
+    summed: every other term, self pairs included, is exactly 0."""
     wd = F.wd
     counts = np.diff(wd.neighbors_indptr)
     src = np.repeat(np.arange(wd.n), counts)
     dst = wd.neighbors
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
     A = F.coefs
     da = A[src, 0] - A[dst, 0]
     db = A[src, 1] - A[dst, 1]
     dc = A[src, 2] - A[dst, 2]
+    keep = (da != 0) | (db != 0) | (dc != 0)
+    src, da, db, dc = src[keep], da[keep], db[keep], dc[keep]
     h = 0.5 * wd.delta[src]
     # corner max of |da + db x + dc y| over the source square
     base = da + db * wd.cx[src] + dc * wd.cy[src]

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from treeplane import WeightedTree
+from treeplane import WeightedTree, analysis
 from treeplane.embedding import build_planar_set
 from treeplane.whitney import decompose
 from treeplane.clusters import build_clusters
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
-                                _hess_power_sum, _hess_power_sum_pointwise,
-                                _panel_rule, ball_average, ball_estimate_sums,
-                                disk_rule, disk_seminorm, patching_constant,
-                                planar_seminorm)
+                                _hess_power, _hess_power_sum,
+                                _hess_power_sum_pointwise, _panel_rule,
+                                _touching_lists, ball_average,
+                                ball_estimate_sums, disk_rule, disk_seminorm,
+                                patching_constant, planar_seminorm)
+from treeplane.operators import PlanarData, planar_extend
+from treeplane.suite import canonical, instance_geometry
+from treeplane.tree_core import LeafFunction
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,17 @@ def perturbed(wd, seed=0, scale=1.0, n_pieces=40):
                        replace=False)
     coefs[picks] += scale * rng.standard_normal((picks.size, 3))
     return PatchedInterpolant(wd, coefs, tail)
+
+
+@pytest.fixture(scope="module")
+def lifted():
+    """Averaging-backend interpolant of random leaf data on n2d2-loose, with
+    its cluster tree: every piece is (0, 0, slope of its cluster)."""
+    tree, ps, wd, ct = instance_geometry(canonical("n2d2-loose"))
+    rng = np.random.default_rng(11)
+    phi = LeafFunction.from_array(tree, rng.standard_normal(tree.n_leaves))
+    f = PlanarData.from_leaf_function(tree, ps, phi)
+    return ct, planar_extend(tree, ps, wd, ct, f, 1.5, backend="averaging")
 
 
 class ProductField:
@@ -122,6 +137,58 @@ def test_power_sum_matches_midpoint_grid_per_square(small):
             assert quad == pytest.approx(dense, rel=2e-3)
         else:
             assert quad == 0.0
+
+
+@pytest.mark.parametrize("field", ["lifted", "perturbed"])
+def test_skipped_blocks_have_zero_hessian(field, small, lifted, monkeypatch):
+    """Every node of a panel block the kernel leaves out has Hessian exactly
+    0 under the generic point evaluator."""
+    F = lifted[1] if field == "lifted" else perturbed(small[2], seed=3)
+    wd = F.wd
+    rows = np.sort(np.random.default_rng(6).choice(_active_rows(F), size=3,
+                                                   replace=False))
+    seen = []
+    blocks = analysis._active_blocks
+    monkeypatch.setattr(analysis, "_active_blocks",
+                        lambda *args: seen.append(blocks(*args)) or seen[-1])
+    assert _hess_power_sum(F, rows, 1.5, 12) > 0.0
+    (b, px, py), = seen
+    npan = PANEL_EDGES.size - 1
+    active = np.zeros((rows.size, npan, npan), dtype=bool)
+    active[b, px, py] = True
+    assert active.any(axis=(1, 2)).all() and not active.all()
+    gx, _ = _panel_rule(12)
+    k = gx.size // npan
+    pts = []
+    for i, r in enumerate(rows):
+        h = 0.5 * wd.delta[r]
+        xs = (wd.cx[r] + h * gx).reshape(npan, k)
+        ys = (wd.cy[r] + h * gx).reshape(npan, k)
+        for qx, qy in zip(*np.nonzero(~active[i])):
+            X, Y = np.meshgrid(xs[qx], ys[qy], indexing="ij")
+            pts.append(np.column_stack([X.ravel(), Y.ravel()]))
+    H = F.evaluate(np.vstack(pts), order=2)
+    assert np.all(H == 0.0)
+
+
+def test_lifted_kernel_matches_pointwise_per_row(lifted):
+    """With da = db = None (pieces differing only in the vertical slope) the
+    kernel's per-row integrals match the pointwise path, on squares that
+    touch exactly one other cluster."""
+    ct, F = lifted
+    wd, lab = F.wd, ct.square_cluster
+    ip, nb = wd.neighbors_indptr, wd.neighbors
+    single = [r for r in _active_rows(F)
+              if len(set(lab[nb[ip[r]:ip[r + 1]]].tolist()) - {lab[r]}) == 1]
+    R = np.sort(np.random.default_rng(8).choice(single, size=4,
+                                                replace=False))
+    assert np.all(F.coefs[:, :2] == 0.0)
+    cand, valid = _touching_lists(wd, R)
+    dc = F.coefs[cand, 2] - F.coefs[R, 2][:, None]
+    got = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, 12)
+    want = [_hess_power_sum_pointwise(F, np.array([r]), 1.5, 12) for r in R]
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_planar_seminorm_zero_for_identical_pieces(small):

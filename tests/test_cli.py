@@ -160,15 +160,3 @@ def test_build_summary_accounts_for_every_square(tmp_path):
     dec = doc["decomposition"]
     assert sum(dec["type_counts"].values()) == dec["squares"]
     assert doc["clusters"]["report"]["violations"] == []
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_bench_reports_timings(tmp_path):
-    tree = gen(tmp_path)
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--tree", str(tree), "--quad-order", "6",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert set(doc["seconds"]) == {"embed", "whitney", "clusters", "extend",
-                                   "seminorm"}
-    assert doc["seminorm"] > 0
