@@ -61,13 +61,20 @@ def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _active_rows(F: PatchedInterpolant) -> np.ndarray:
     """Rows whose touching list contains a square with a different piece.
-    Elsewhere the local blend is one affine and the Hessian is exactly zero."""
+    Elsewhere the local blend is one affine and the Hessian is exactly zero.
+    Touching is symmetric and a self pair never differs, so each unordered
+    pair is compared once and marks both its ends."""
     wd = F.wd
     counts = np.diff(wd.neighbors_indptr)
     src = np.repeat(np.arange(wd.n), counts)
-    dst = wd.neighbors
-    differ = np.any(F.coefs[src] != F.coefs[dst], axis=1)
-    hit = np.bincount(src[differ], minlength=wd.n) > 0
+    once = src < wd.neighbors
+    src, dst = src[once], wd.neighbors[once]
+    differ = np.zeros(src.size, dtype=bool)
+    for col in np.ascontiguousarray(F.coefs.T):   # 1-D gathers beat row gathers
+        differ |= col[src] != col[dst]
+    hit = np.zeros(wd.n, dtype=bool)
+    hit[src[differ]] = True
+    hit[dst[differ]] = True
     return np.flatnonzero(hit)
 
 

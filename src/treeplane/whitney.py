@@ -17,6 +17,13 @@ boundary: one sweep over vertical face lines finds face and corner contacts,
 one over horizontal face lines finds the remaining face contacts, so each
 touching pair is found exactly once.  That it coincides with "1.1-dilates
 intersect" is rechecked against a brute-force oracle on small instances.
+
+Point lookups do work only where squares overlap.  `locate` searches the
+Morton codes of a batch in sorted order.  A touching square is at most twice
+as large, so its 1.1-dilate reaches at most 0.1 * delta into a square: a
+point more than that inside its containing square has that square as its
+only active one, with theta = 1 and vanishing derivatives, and skips both
+the touching-list scan and the psi algebra.
 """
 
 from __future__ import annotations
@@ -218,7 +225,12 @@ class WhitneyDecomposition:
         raise KeyError(f"square {q} not in the decomposition")
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
-        """Row of the square containing each point (points must lie in Q0)."""
+        """Row of the square containing each point (points must lie in Q0).
+
+        The Morton codes are looked up in sorted order and the rows scattered
+        back: a sorted query walks `morton_starts` in one direction, which
+        costs far less than a random-order binary search on large batches.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         L = self.max_level
         scale = (1 << L) / Q0_SIDE
@@ -227,7 +239,10 @@ class WhitneyDecomposition:
         cy = np.clip(((pts[:, 1] - Q0_LO) * scale).astype(np.int64),
                      0, (1 << L) - 1)
         codes = _morton(cx, cy)
-        rows = np.searchsorted(self.morton_starts, codes, side="right") - 1
+        order = np.argsort(codes)
+        rows = np.empty(codes.shape[0], dtype=np.int64)
+        rows[order] = np.searchsorted(self.morton_starts, codes[order],
+                                      side="right") - 1
         return rows
 
     def __len__(self) -> int:
@@ -473,6 +488,9 @@ def neighbors_naive(wd: WhitneyDecomposition) -> list[set[int]]:
 
 _T0, _T1 = 0.5, 0.55
 _TW = _T1 - _T0
+# deep-point bound in units of the containing side: touching dilates reach
+# no closer to the centre than 0.4, and 0.375 leaves room for rounding
+_DEEP = 0.375
 
 
 def _profile(u: np.ndarray):
@@ -505,20 +523,39 @@ def _psi_terms(wd: WhitneyDecomposition, rows: np.ndarray, pts: np.ndarray):
 
 def active_table(wd: WhitneyDecomposition, pts: np.ndarray):
     """CSR (indptr, square rows) of squares whose 1.1-dilate contains each
-    point; candidates come from the touching lists of the containing square."""
+    point, ascending within a point.
+
+    A touching square is at most twice as large as the containing square Q
+    (`verify_cz`'s `neighbor_ratio_ok`), so its 1.1-dilate reaches at most
+    0.1 * delta_Q into Q, and the dilate of a square that does not touch Q
+    misses Q altogether.  A point within _DEEP * delta_Q of Q's centre on both
+    axes therefore has Q as its only active square; only the other points
+    gather candidates from the touching list of Q.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    m = pts.shape[0]
     home = wd.locate(pts)
-    cand_ptr = wd.neighbors_indptr
-    counts = cand_ptr[home + 1] - cand_ptr[home]
-    pt_idx = np.repeat(np.arange(pts.shape[0]), counts)
+    reach = _DEEP * wd.delta[home]
+    deep = (np.abs(pts[:, 0] - wd.cx[home]) < reach) & \
+           (np.abs(pts[:, 1] - wd.cy[home]) < reach)
+    near = np.flatnonzero(~deep)
+    starts = wd.neighbors_indptr[home[near]]
+    counts = wd.neighbors_indptr[home[near] + 1] - starts
+    pt_idx = np.repeat(near, counts)
     offs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    sq = wd.neighbors[np.repeat(cand_ptr[home], counts) + offs]
-    half = _T1 * wd.delta[sq]
-    keep = (np.abs(pts[pt_idx, 0] - wd.cx[sq]) <= half) & \
-           (np.abs(pts[pt_idx, 1] - wd.cy[sq]) <= half)
-    pt_idx, sq = pt_idx[keep], sq[keep]
-    counts_kept = np.bincount(pt_idx, minlength=pts.shape[0])
+    cand = wd.neighbors[np.repeat(starts, counts) + offs]
+    half = _T1 * wd.delta[cand]
+    keep = (np.abs(pts[pt_idx, 0] - wd.cx[cand]) <= half) & \
+           (np.abs(pts[pt_idx, 1] - wd.cy[cand]) <= half)
+    pt_idx, cand = pt_idx[keep], cand[keep]
+    counts_kept = np.bincount(pt_idx, minlength=m) + deep
     indptr = np.concatenate([[0], np.cumsum(counts_kept)]).astype(np.int64)
+    # both groups are in point order: a deep point fills exactly its one slot
+    at_deep = np.zeros(int(indptr[-1]), dtype=bool)
+    at_deep[indptr[:-1][deep]] = True
+    sq = np.empty(at_deep.size, dtype=wd.neighbors.dtype)
+    sq[at_deep] = home[deep]
+    sq[~at_deep] = cand
     return indptr, sq
 
 
@@ -527,14 +564,22 @@ def pou_table(wd: WhitneyDecomposition, pts: np.ndarray):
 
     Returns (indptr, sq, theta, tx, ty, txx, txy, tyy) in CSR layout over the
     points.  The normalizing sum is at least 1 everywhere in Q0 because every
-    point lies in some square where its own psi is 1.
+    point lies in some square where its own psi is 1.  A point of Q0 with a
+    single active square lies in that square, where psi is exactly 1 (the profile is
+    1 on |u| <= 0.5), so its theta is 1 and every derivative 0; the psi
+    algebra runs only on points with two or more active squares.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     indptr, sq = active_table(wd, pts)
     reps = np.diff(indptr)
-    pt_idx = np.repeat(np.arange(pts.shape[0]), reps)
-    psi, px, py, pxx, pxy, pyy = _psi_terms(wd, sq, pts[pt_idx])
-    m = pts.shape[0]
+    th = np.ones(sq.size)
+    tx, ty, txx, txy, tyy = (np.zeros(sq.size) for _ in range(5))
+    multi = reps > 1
+    at = np.repeat(multi, reps)
+    m = int(np.count_nonzero(multi))
+    pt_idx = np.repeat(np.arange(m), reps[multi])
+    psi, px, py, pxx, pxy, pyy = _psi_terms(
+        wd, sq[at], np.repeat(pts[multi], reps[multi], axis=0))
     S = np.bincount(pt_idx, weights=psi, minlength=m)
     Sx = np.bincount(pt_idx, weights=px, minlength=m)
     Sy = np.bincount(pt_idx, weights=py, minlength=m)
@@ -543,15 +588,15 @@ def pou_table(wd: WhitneyDecomposition, pts: np.ndarray):
     Syy = np.bincount(pt_idx, weights=pyy, minlength=m)
     S_, Sx_, Sy_ = S[pt_idx], Sx[pt_idx], Sy[pt_idx]
     Sxx_, Sxy_, Syy_ = Sxx[pt_idx], Sxy[pt_idx], Syy[pt_idx]
-    th = psi / S_
-    tx = px / S_ - psi * Sx_ / S_ ** 2
-    ty = py / S_ - psi * Sy_ / S_ ** 2
-    txx = (pxx / S_ - 2.0 * px * Sx_ / S_ ** 2 - psi * Sxx_ / S_ ** 2
-           + 2.0 * psi * Sx_ ** 2 / S_ ** 3)
-    tyy = (pyy / S_ - 2.0 * py * Sy_ / S_ ** 2 - psi * Syy_ / S_ ** 2
-           + 2.0 * psi * Sy_ ** 2 / S_ ** 3)
-    txy = (pxy / S_ - (px * Sy_ + py * Sx_) / S_ ** 2 - psi * Sxy_ / S_ ** 2
-           + 2.0 * psi * Sx_ * Sy_ / S_ ** 3)
+    th[at] = psi / S_
+    tx[at] = px / S_ - psi * Sx_ / S_ ** 2
+    ty[at] = py / S_ - psi * Sy_ / S_ ** 2
+    txx[at] = (pxx / S_ - 2.0 * px * Sx_ / S_ ** 2 - psi * Sxx_ / S_ ** 2
+               + 2.0 * psi * Sx_ ** 2 / S_ ** 3)
+    tyy[at] = (pyy / S_ - 2.0 * py * Sy_ / S_ ** 2 - psi * Syy_ / S_ ** 2
+               + 2.0 * psi * Sy_ ** 2 / S_ ** 3)
+    txy[at] = (pxy / S_ - (px * Sy_ + py * Sx_) / S_ ** 2 - psi * Sxy_ / S_ ** 2
+               + 2.0 * psi * Sx_ * Sy_ / S_ ** 3)
     return indptr, sq, th, tx, ty, txx, txy, tyy
 
 

@@ -1,7 +1,7 @@
 """The benchmark's self-test, run with the package tests so that an API
 change which breaks the benchmark's traced wrappers fails here too, and pins
-of one registry geometry and of the ratio-trials rows to the benchmark's
-recorded reference."""
+of one registry geometry, of the ratio-trials rows and of the field-eval sums
+to the benchmark's recorded reference."""
 
 import json
 import sys
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from treeplane.operators import norm_ratio_experiment
+from treeplane.operators import (PlanarData, norm_ratio_experiment,
+                                 planar_extend, tree_extend_from_planar)
 from treeplane.suite import canonical, instance_geometry
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -53,3 +54,27 @@ def test_ratio_rows_match_benchmark_reference():
             assert r["rho_tree"] == pytest.approx(w["rho_tree"], rel=1e-12)
             assert r["quad_error"] == pytest.approx(w["quad_error"],
                                                     rel=1e-9)
+
+
+def test_field_sums_match_benchmark_reference():
+    """Draw 0 of field-eval at the reference seed, on the cached n2d2-loose
+    geometry: the value, gradient, Hessian and node sums agree with the
+    recorded reference to the workload's own tolerance."""
+    import workloads
+    ref = json.loads((BENCHMARK / "reference.json").read_text())
+    tree, ps, wd, ct = instance_geometry(
+        canonical(workloads.FieldEval.INSTANCE), workloads.KAPPA)
+    fe = workloads.FieldEval(ref["seed"], ref["field-eval"])
+    fe.tree = tree
+    phi, pts = fe.draw(0)
+    f = PlanarData.from_leaf_function(tree, ps, phi)
+    F = planar_extend(tree, ps, wd, ct, f, workloads.P)
+    nf = tree_extend_from_planar(tree, ps, wd, ct, phi, workloads.P)
+    got = fe.sums(F.evaluate(pts, order=0), F.evaluate(pts, order=1),
+                  F.evaluate(pts, order=2), nf)
+    want = ref["field-eval"]["draws"][0]
+    assert got.keys() == want.keys()
+    for key, (s, a) in got.items():
+        ws, wa = want[key]
+        assert abs(s - ws) <= workloads.FIELD_RTOL * max(a, wa, 1e-300), \
+            (key, s, ws)

@@ -8,6 +8,7 @@ from treeplane.whitney import (DyadicSquare, TYPE_I, TYPE_II, TYPE_III,
                                basepoints, classify, decompose,
                                decompose_naive, e2_anchor_indices, neighbors,
                                neighbors_naive, pou_eval, pou_table,
+                               _psi_terms,
                                verify_basepoints, verify_boundary, verify_cz,
                                verify_dist_bd, verify_partition)
 
@@ -355,3 +356,90 @@ def test_level_past_morton_key_refused():
     with pytest.raises(ValueError, match="level 32 .* limit 31"):
         WhitneyDecomposition(None, np.array(levels), np.array(ixs),
                              np.array(iys))
+
+
+# -- deep-point shortcut ----------------------------------------------------------
+
+# offsets from a square's centre in units of its side: the deep bound 0.375,
+# the band a larger neighbour's dilate reaches (from 0.4), the reach of an
+# equal neighbour (from 0.45), faces and corners (0.5)
+_OFFSETS = (0.0, 0.3, 0.375, 0.4, 0.42, 0.45, 0.48, 0.5)
+
+
+def _probe_points(wd, rows):
+    off = np.array(sorted({s * o for o in _OFFSETS for s in (-1.0, 1.0)}))
+    ox, oy = np.meshgrid(off, off, indexing="ij")
+    r = np.repeat(rows, ox.size)
+    pts = np.column_stack([wd.cx[r] + np.tile(ox.ravel(), rows.size) * wd.delta[r],
+                           wd.cy[r] + np.tile(oy.ravel(), rows.size) * wd.delta[r]])
+    return pts[np.all((pts >= -3.0) & (pts < 5.0), axis=1)]
+
+
+def _brute_active(wd, pts, chunk=256):
+    """Every square whose closed 1.1-dilate holds the point, by a full scan
+    with the same float test the table uses."""
+    half = 0.55 * wd.delta
+    out = []
+    for lo in range(0, pts.shape[0], chunk):
+        P = pts[lo:lo + chunk]
+        hit = (np.abs(P[:, 0, None] - wd.cx[None, :]) <= half) & \
+              (np.abs(P[:, 1, None] - wd.cy[None, :]) <= half)
+        out += [np.flatnonzero(h) for h in hit]
+    return out
+
+
+def _assert_table_matches_brute_force(wd, pts):
+    indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(wd, pts)
+    brute = _brute_active(wd, pts)
+    counts = np.array([b.size for b in brute])
+    assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(counts)]))
+    assert np.array_equal(sq, np.concatenate(brute))
+    # theta from psi over the brute-force sets, summed per point in entry order
+    pt = np.repeat(np.arange(pts.shape[0]), counts)
+    psi = _psi_terms(wd, sq, pts[pt])[0]
+    total = np.bincount(pt, weights=psi, minlength=pts.shape[0])
+    assert np.array_equal(th, psi / total[pt])
+    ones = indptr[:-1][counts == 1]
+    for t in (tx, ty, txx, txy, tyy):
+        assert np.all(t[ones] == 0.0)
+    return counts == 1
+
+
+@pytest.mark.parametrize("top", [20, 31])
+def test_active_sets_match_dilate_scan_on_staircase(top):
+    """Deep and shallow probes of every staircase square, whose neighbours
+    are twice, equally and half as large."""
+    levels, ixs, iys = staircase(top)
+    wd = WhitneyDecomposition(None, np.array(levels), np.array(ixs),
+                              np.array(iys))
+    pts = _probe_points(wd, np.arange(wd.n))
+    single = _assert_table_matches_brute_force(wd, pts)
+    assert np.any(single) and not np.all(single)
+
+
+def test_active_sets_match_dilate_scan_near_size_changes(medium):
+    _, wd = medium
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    step = wd.levels[wd.neighbors] - wd.levels[src]
+    larger, smaller = np.unique(src[step < 0]), np.unique(src[step > 0])
+    assert larger.size and smaller.size
+    rng = np.random.default_rng(13)
+    rows = np.concatenate([rng.choice(larger, 40, replace=False),
+                           rng.choice(smaller, 40, replace=False)])
+    pts = _probe_points(wd, rows)
+    single = _assert_table_matches_brute_force(wd, pts)
+    assert np.any(single) and not np.all(single)
+
+
+def test_locate_independent_of_batch_order(medium):
+    _, wd = medium
+    rng = np.random.default_rng(17)
+    pts = np.vstack([rng.uniform(-3, 5, size=(3000, 2)),
+                     _probe_points(wd, rng.choice(wd.n, 50, replace=False))])
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    rows = wd.locate(pts)
+    perm = rng.permutation(pts.shape[0])
+    assert np.array_equal(wd.locate(pts[perm]), rows[perm])
+    h = 0.5 * wd.delta[rows]
+    assert np.all(np.abs(pts[:, 0] - wd.cx[rows]) <= h)
+    assert np.all(np.abs(pts[:, 1] - wd.cy[rows]) <= h)
