@@ -15,9 +15,12 @@ zero.  About a quarter of the blocks of a boundary square are reached.
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
 of |jump|^p times a fixed weight.  `edge_weights` integrates those unit
-jumps once (same kernel, same two orders), and only one square per class of
-local configurations, which fix the integral up to the scale delta^(2-p);
-squares touching two or more other clusters stay on the direct quadrature.
+jumps once (same field algebra, same two orders), and only once per class of
+local configurations, which fix the integral up to the scale delta^(2-p).
+A class is folded under both mirrors about the square's centre and is
+integrated on the unit square from its integer configuration, with the bump
+profiles read from one table of level differences and offsets; squares
+touching two or more other clusters stay on the direct quadrature.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterTree
-from .interpolant import PatchedInterpolant, affine_through
+from .interpolant import (PatchedInterpolant, _differing_pairs,
+                          affine_through)
 from .whitney import _profile, e2_anchor_indices
 
 QUAD_CHUNK = 400_000
@@ -61,20 +65,11 @@ def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _active_rows(F: PatchedInterpolant) -> np.ndarray:
     """Rows whose touching list contains a square with a different piece.
-    Elsewhere the local blend is one affine and the Hessian is exactly zero.
-    Touching is symmetric and a self pair never differs, so each unordered
-    pair is compared once and marks both its ends."""
-    wd = F.wd
-    counts = np.diff(wd.neighbors_indptr)
-    src = np.repeat(np.arange(wd.n), counts)
-    once = src < wd.neighbors
-    src, dst = src[once], wd.neighbors[once]
-    differ = np.zeros(src.size, dtype=bool)
-    for col in np.ascontiguousarray(F.coefs.T):   # 1-D gathers beat row gathers
-        differ |= col[src] != col[dst]
-    hit = np.zeros(wd.n, dtype=bool)
-    hit[src[differ]] = True
-    hit[dst[differ]] = True
+    Elsewhere the local blend is one affine and the Hessian is exactly zero."""
+    s, t = _differing_pairs(F)
+    hit = np.zeros(F.wd.n, dtype=bool)
+    hit[s] = True
+    hit[t] = True
     return np.flatnonzero(hit)
 
 
@@ -113,13 +108,18 @@ def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand, valid
 
 
+def _batches(n: int, order: int):
+    """Slices of n rows sized for the tensor rule of `order`."""
+    m = _panel_rule(order)[0].size
+    step = max(1, 2_000_000 // (m * m))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _row_batches(wd, rows: np.ndarray, order: int):
     """Rows in batches sized for the tensor rule of `order`, each with its
     touching list padded to a rectangle: (R, cand, valid)."""
-    m = _panel_rule(order)[0].size
-    step = max(1, 2_000_000 // (m * m))
-    for lo in range(0, rows.size, step):
-        R = rows[lo:lo + step]
+    for sl in _batches(rows.size, order):
+        R = rows[sl]
         yield (R, *_touching_lists(wd, R))
 
 
@@ -148,16 +148,43 @@ def _active_blocks(differ, xprof, yprof):
 def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
                 order: int) -> np.ndarray:
     """Integral of |Hessian|^p over each row of R by the tensor panel rule,
-    shape (R.size,).
+    shape (R.size,), with the bump profiles read from the frame geometry.
 
     (da, db, dc) are the piece differences (touching square minus R) along
-    the padded touching lists.  Tensor-grid nodes factor every bump into 1-d
+    the padded touching lists; da and db may both be None, meaning zero (the
+    pieces of lifted leaf data differ only in the vertical slope).  The
+    fields are `_blend_power`'s.
+    """
+    gx = _panel_rule(order)[0]
+    h = 0.5 * wd.delta[R]
+    xn = wd.cx[R][:, None] + h[:, None] * gx[None, :]
+    yn = wd.cy[R][:, None] + h[:, None] * gx[None, :]
+    d = wd.delta[cand][:, :, None]
+    gu, gu1, gu2 = _profile((xn[:, None, :] - wd.cx[cand][:, :, None]) / d)
+    vm = valid[:, :, None]
+    xprof = (gu * vm, gu1 * vm / d, gu2 * vm / d ** 2)
+    gv, gv1, gv2 = _profile((yn[:, None, :] - wd.cy[cand][:, :, None]) / d)
+    yprof = (gv, gv1 / d, gv2 / d ** 2)
+    return _blend_power(xprof, yprof, xn, yn, h ** 2, valid, da, db, dc, p,
+                        order)
+
+
+def _blend_power(xprof, yprof, xn, yn, area, valid, da, db, dc, p: float,
+                 order: int) -> np.ndarray:
+    """Integral of |Hessian|^p of the blend over each row by the tensor panel
+    rule, shape (rows,), from the 1-d bump profiles at the nodes.
+
+    xprof and yprof are the profile triples (g, g', g''), each of shape
+    (rows, entries, m), of the padded touching lists along the x and y
+    nodes; xprof is zero on the padding.  xn and yn (rows, m) are the node
+    coordinates the piece differences are affine in (xn may be None when da
+    and db are), area (rows,) is each row's area over 4, the Jacobian of the
+    rule on [-1, 1]^2.  Tensor-grid nodes factor every bump into 1-d
     profiles, so each field (the normalizing sum, its derivatives, the
     difference-weighted blends) is a batched matrix product over the touching
     lists: roughly two orders of magnitude fewer profile evaluations than the
-    pointwise path.  da and db may both be None, meaning zero (the pieces of
-    lifted leaf data differ only in the vertical slope); their products are
-    then skipped and every other term is computed as in the general case.
+    pointwise path.  With da and db None their products are skipped and
+    every other term is computed as in the general case.
 
     Fields are formed only on the (x-panel, y-panel) blocks of each row that
     some differing bump reaches along both axes (`_active_blocks`).  That
@@ -167,26 +194,15 @@ def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
     it the Hessian.  Only the order of summation differs from integrating
     every node.
     """
-    gx, gw = _panel_rule(order)
+    gw = _panel_rule(order)[1]
     npan = PANEL_EDGES.size - 1
-    k = gx.size // npan
-    nr, ne = cand.shape
+    k = gw.size // npan
+    nr, ne = valid.shape
 
     def mm(wk, A, B):
         if wk is None:
             return np.matmul(A.transpose(0, 2, 1), B)
         return np.matmul((wk[:, :, None] * A).transpose(0, 2, 1), B)
-
-    h = 0.5 * wd.delta[R]
-    xn = wd.cx[R][:, None] + h[:, None] * gx[None, :]
-    yn = wd.cy[R][:, None] + h[:, None] * gx[None, :]
-
-    d = wd.delta[cand][:, :, None]
-    gu, gu1, gu2 = _profile((xn[:, None, :] - wd.cx[cand][:, :, None]) / d)
-    vm = valid[:, :, None]
-    xprof = (gu * vm, gu1 * vm / d, gu2 * vm / d ** 2)
-    gv, gv1, gv2 = _profile((yn[:, None, :] - wd.cy[cand][:, :, None]) / d)
-    yprof = (gv, gv1 / d, gv2 / d ** 2)
 
     differ = dc != 0
     if db is not None:
@@ -194,10 +210,10 @@ def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
     b, px, py = _active_blocks(differ & valid, xprof, yprof)
     U, Ux, Uxx = (g.reshape(nr, ne, npan, k)[b, :, px] for g in xprof)
     V, Vy, Vyy = (g.reshape(nr, ne, npan, k)[b, :, py] for g in yprof)
-    X = xn.reshape(nr, npan, k)[b, px][:, :, None]
     Y = yn.reshape(nr, npan, k)[b, py][:, None, :]
     dc = dc[b]
     if db is not None:
+        X = xn.reshape(nr, npan, k)[b, px][:, :, None]
         da, db = da[b], db[b]
 
     iS = 1.0 / mm(None, U, V)
@@ -236,7 +252,7 @@ def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
     frob = np.sqrt(Hxx ** 2 + 2.0 * Hxy ** 2 + Hyy ** 2)
     wp = gw.reshape(npan, k)
     per_block = np.einsum("nij,ni,nj->n", frob ** p, wp[px], wp[py])
-    return np.bincount(b, weights=per_block * (h ** 2)[b], minlength=nr)
+    return np.bincount(b, weights=per_block * area[b], minlength=nr)
 
 
 def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
@@ -326,18 +342,14 @@ class EdgeWeights:
         return _order_doubling_estimate(coarse, fine, self.p, refine_tol)
 
 
-def _configuration_classes(wd, lab: np.ndarray,
-                           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of rows with the same unit-jump field up to scale: (index in
-    rows of each class's first row, class of each row).
+def _configurations(wd, lab: np.ndarray, rows: np.ndarray) -> tuple:
+    """Local configuration of each row in integer square coordinates:
+    (dl, ox, oy, other, valid, height).
 
-    A unit jump on row r reads only r's touching list and the height of its
-    centre, so a row's configuration is that list, each entry being (level
-    difference, centre offsets in quarter sides of r, other-cluster flag),
-    plus 4 * 2 * cy / delta.  Rows of one configuration have the same
-    integral divided by delta^(2 - p).  |Hessian| is unchanged by y -> -y,
-    which negates the y offsets and the height, so a configuration and its
-    mirror share a class.  Integer arithmetic throughout.
+    Along the padded touching list: the level difference dl, the centre
+    offsets ox, oy in quarter sides of the row, the other-cluster flag and
+    the padding mask valid; then the row's height 8 * cy / delta.  A unit
+    jump on the row reads nothing else.
     """
     cand, valid = _touching_lists(wd, rows)
     s = wd.sidei[rows][:, None]
@@ -346,22 +358,81 @@ def _configuration_classes(wd, lab: np.ndarray,
     oy = (4 * (wd.y0i[cand] - wd.y0i[rows][:, None]) + 2 * dside) // s
     dl = wd.levels[cand] - wd.levels[rows][:, None]
     other = lab[cand] != lab[rows][:, None]
-    # 4 * 2 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
+    # 8 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
     # the way up the frame [-3, 5]
     height = 8 * wd.iys[rows] + 4 - (3 << wd.levels[rows].astype(np.int64))
-    # one integer per entry, digits (dl + 1, ox + 6, oy + 6, flag) in radix
-    # (3, 13, 13, 2): touching squares have |dl| <= 1 and centre offsets
-    # within 6 quarters; the padding sorts last
+    return dl, ox, oy, other, valid, height
+
+
+def _mirror(conf: tuple, sx: int, sy: int) -> tuple:
+    """conf under x -> sx * x and y -> sy * y about each row's centre; the
+    height is measured along y, so it follows sy."""
+    dl, ox, oy, other, valid, height = conf
+    return dl, sx * ox, sy * oy, other, valid, sy * height
+
+
+def _configuration_classes(conf: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of rows with the same unit-jump integral up to the scale
+    delta^(2 - p): (index of each class's first row, class of each row).
+
+    Rows of one configuration (`_configurations`) share the integral over
+    the unit square.  |Hessian| is unchanged by either mirror about the
+    square's centre: y -> -y negates the y offsets and the height, x -> -x
+    the x offsets, and each negates Hxy at most.  The panel rule is
+    symmetric about 0, so a configuration and its three mirror images share
+    a class.  Integer arithmetic throughout.
+    """
     keys = []
-    for sign in (1, -1):
-        entry = (((dl + 1) * 13 + ox + 6) * 13 + sign * oy + 6) * 2 + other
-        entry = np.sort(np.where(valid, entry, 3 * 13 * 13 * 2), axis=1)
-        keys.append(np.column_stack([sign * height, entry]))
+    for sx in (1, -1):
+        for sy in (1, -1):
+            dl, ox, oy, other, valid, height = _mirror(conf, sx, sy)
+            # one integer per entry, digits (dl + 1, ox + 6, oy + 6, flag)
+            # in radix (3, 13, 13, 2): touching squares have |dl| <= 1 and
+            # centre offsets within 6 quarters; the padding sorts last
+            entry = (((dl + 1) * 13 + ox + 6) * 13 + oy + 6) * 2 + other
+            entry = np.sort(np.where(valid, entry, 3 * 13 * 13 * 2), axis=1)
+            keys.append(np.column_stack([height, entry]))
     _, inv = np.unique(np.vstack(keys), axis=0, return_inverse=True)
-    inv = inv.ravel()
-    folded = np.minimum(inv[:rows.size], inv[rows.size:])
+    folded = inv.reshape(4, -1).min(axis=0)
     _, first, cls = np.unique(folded, return_index=True, return_inverse=True)
     return first, cls.ravel()
+
+
+def _profile_table(gx: np.ndarray) -> tuple:
+    """Bump profiles (g, g', g'') of every square that can touch a unit
+    square centred at 0, at its nodes gx: shape (3, 13, gx.size), indexed
+    [dl + 1, o + 6] by level difference and centre offset o in quarter
+    sides.  The touching square has side 2^-dl, so its profile argument is
+    (gx/2 - o/4) * 2^dl, rounded once."""
+    dl = np.arange(-1, 2)[:, None, None]
+    o = np.arange(-6, 7)[None, :, None]
+    s = np.exp2(dl)
+    g, g1, g2 = _profile((0.5 * gx - 0.25 * o) * s)
+    return g, g1 * s, g2 * (s * s)
+
+
+def _class_power(conf: tuple, p: float, order: int) -> np.ndarray:
+    """Integral of |Hessian|^p of the unit jump over a unit square in each
+    configuration of conf (`_configurations`), shape (rows,).
+
+    The field is y * theta_other; on the unit square y = height/8 + gx/2.
+    The profiles come from `_profile_table`, so members of one class get
+    the same integral whatever their depth in the frame.  A square of side
+    delta in that configuration integrates to delta^(2 - p) times this.
+    """
+    dl, ox, oy, other, valid, height = conf
+    gx = _panel_rule(order)[0]
+    table = _profile_table(gx)
+    out = []
+    for sl in _batches(height.size, order):
+        i, vm = dl[sl] + 1, valid[sl][:, :, None]
+        xprof = tuple(t[i, ox[sl] + 6] * vm for t in table)
+        yprof = tuple(t[i, oy[sl] + 6] for t in table)
+        yn = height[sl][:, None] / 8.0 + 0.5 * gx[None, :]
+        out.append(_blend_power(xprof, yprof, None, yn,
+                                np.full(yn.shape[0], 0.25), valid[sl], None,
+                                None, other[sl].astype(float), p, order))
+    return np.concatenate(out)
 
 
 def edge_weights(wd, ct: ClusterTree, p: float,
@@ -369,8 +440,10 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     """Unit-jump weights of every touching cluster pair of the assigned
     decomposition (see EdgeWeights), at quad_order and its double.
 
-    One row per configuration class is integrated; every row of the class
-    takes that integral times (delta_row / delta_first)^(2 - p).
+    The rows with one other cluster fall into configuration classes, folded
+    under both mirrors (`_configuration_classes`).  Each class is integrated
+    once on the unit square from its integer configuration
+    (`_class_power`); every row takes that integral times delta_row^(2 - p).
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -389,20 +462,16 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     a = np.minimum(lab[rows], partner)
     b = np.maximum(lab[rows], partner)
     keys, pair_of_row = np.unique(a * n + b, return_inverse=True)
-    first, cls = _configuration_classes(wd, lab, rows)
-    reps = rows[first]
-    scale = np.exp2((wd.levels[reps][cls] - wd.levels[rows]) * (2.0 - p))
-    M = []
-    for order in (quad_order, 2 * quad_order):
-        per_class = np.concatenate([
-            _hess_power(wd, R, cand, valid, None, None,
-                        (lab[cand] != lab[R][:, None]).astype(float), p, order)
-            for R, cand, valid in _row_batches(wd, reps, order)])
-        M.append(np.bincount(pair_of_row, weights=scale * per_class[cls],
-                             minlength=keys.size))
+    conf = _configurations(wd, lab, rows)
+    first, cls = _configuration_classes(conf)
+    reps = tuple(c[first] for c in conf)
+    scale = wd.delta[rows] ** (2.0 - p)
+    M = [np.bincount(pair_of_row, weights=scale * _class_power(reps, p, o)[cls],
+                     minlength=keys.size)
+         for o in (quad_order, 2 * quad_order)]
     pairs = np.column_stack([keys // n, keys % n])
     return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed,
-                       int(rows.size), int(reps.size))
+                       int(rows.size), int(first.size))
 
 
 def disk_rule(center, radius: float, rings: int = 64,

@@ -190,25 +190,36 @@ class PatchedInterpolant:
                 w.writerow([f"{t:.17g}" for t in row])
 
 
+def _differing_pairs(F: PatchedInterpolant) -> tuple[np.ndarray, np.ndarray]:
+    """Touching pairs (s, t), s < t, whose pieces differ.  Touching is
+    symmetric and a self pair never differs, so each unordered pair is
+    compared once."""
+    wd = F.wd
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    once = src < wd.neighbors
+    src, dst = src[once], wd.neighbors[once]
+    differ = np.zeros(src.size, dtype=bool)
+    for col in np.ascontiguousarray(F.coefs.T):   # 1-D gathers beat row gathers
+        differ |= col[src] != col[dst]
+    return src[differ], dst[differ]
+
+
 def pair_linf_sum(F: PatchedInterpolant, p: float) -> tuple[float, float]:
     """sum over ordered touching pairs of sup_Q |P_Q - P_Q'|^p delta_Q^(2-2p),
     the right side of the patching estimate.  Also returns the largest single
     piece difference for reporting.  Only pairs whose pieces differ are
     summed: every other term, self pairs included, is exactly 0."""
     wd = F.wd
-    counts = np.diff(wd.neighbors_indptr)
-    src = np.repeat(np.arange(wd.n), counts)
-    dst = wd.neighbors
-    A = F.coefs
-    da = A[src, 0] - A[dst, 0]
-    db = A[src, 1] - A[dst, 1]
-    dc = A[src, 2] - A[dst, 2]
-    keep = (da != 0) | (db != 0) | (dc != 0)
-    src, da, db, dc = src[keep], da[keep], db[keep], dc[keep]
-    h = 0.5 * wd.delta[src]
-    # corner max of |da + db x + dc y| over the source square
-    base = da + db * wd.cx[src] + dc * wd.cy[src]
-    linf = np.abs(base) + np.abs(db) * h + np.abs(dc) * h
-    total = float(np.sum(linf ** p * wd.delta[src] ** (2.0 - 2.0 * p)))
+    s, t = _differing_pairs(F)
+    da, db, dc = (F.coefs[s] - F.coefs[t]).T
+    linf = []
+    for q in (s, t):    # both orientations; negating the difference is exact
+        h = 0.5 * wd.delta[q]
+        # corner max of |da + db x + dc y| over the source square
+        base = da + db * wd.cx[q] + dc * wd.cy[q]
+        linf.append(np.abs(base) + np.abs(db) * h + np.abs(dc) * h)
+    delta = wd.delta[np.concatenate([s, t])]
+    linf = np.concatenate(linf)
+    total = float(np.sum(linf ** p * delta ** (2.0 - 2.0 * p)))
     worst = float(linf.max()) if linf.size else 0.0
     return total, worst

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from treeplane import operators
-from treeplane.analysis import (_hess_power, _row_batches, edge_weights,
+from treeplane.analysis import (_class_power, _configuration_classes,
+                                _configurations, _hess_power, _mirror,
+                                _row_batches, _touching_lists, edge_weights,
                                 planar_seminorm)
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
@@ -266,16 +268,9 @@ def test_edge_weights_match_planar_seminorm(name, tri):
         _assert_same_seminorm(ew, Phi, F)
 
 
-@pytest.mark.parametrize("name", ["tri", "n2d1-tight", "n3d1-loose",
-                                  "n2d2-loose"])
-def test_edge_weight_classes_match_per_row(name, tri):
-    """The class table gives the weights of integrating every square with
-    one other cluster on its own."""
-    if name == "tri":
-        tree, ps, wd, ct = tri
-    else:
-        tree, ps, wd, ct = instance_geometry(canonical(name))
-    lab = ct.square_cluster
+def _single_other_rows(wd, lab):
+    """Squares whose touching list holds exactly one other cluster, with
+    the sorted cluster pair of each."""
     ip, nb = wd.neighbors_indptr, wd.neighbors
     src = np.repeat(np.arange(wd.n), np.diff(ip))
     rows, pairs = [], []
@@ -284,7 +279,20 @@ def test_edge_weight_classes_match_per_row(name, tri):
         if len(others) == 1:
             rows.append(r)
             pairs.append(tuple(sorted((int(lab[r]), others.pop()))))
-    rows = np.array(rows)
+    return np.array(rows), pairs
+
+
+@pytest.mark.parametrize("name", ["tri", "n2d1-tight", "n3d1-loose",
+                                  "n2d2-loose", "n3d2-loose"])
+def test_edge_weight_classes_match_per_row(name, tri):
+    """The class table gives the weights of integrating every square with
+    one other cluster on its own."""
+    if name == "tri":
+        tree, ps, wd, ct = tri
+    else:
+        tree, ps, wd, ct = instance_geometry(canonical(name))
+    lab = ct.square_cluster
+    rows, pairs = _single_other_rows(wd, lab)
     ew = edge_weights(wd, ct, 1.5)
     assert ew.n_rows == rows.size
     assert 0 < ew.n_classes < ew.n_rows
@@ -301,6 +309,34 @@ def test_edge_weight_classes_match_per_row(name, tri):
         want = np.bincount(pair_of_row, weights=np.concatenate(per_row),
                            minlength=len(index))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_class_keys_fold_both_mirrors():
+    """Each configuration class integrates to the same value from its key
+    and from its three mirror images, which fall in the same class; the key
+    integral is its first square's own integral up to delta^(2 - p)."""
+    tree, ps, wd, ct = instance_geometry(canonical("n2d2-loose"))
+    lab = ct.square_cluster.astype(np.int64)
+    rows, _ = _single_other_rows(wd, lab)
+    conf = _configurations(wd, lab, rows)
+    first, _ = _configuration_classes(conf)
+    reps = tuple(c[first] for c in conf)
+    images = [_mirror(reps, sx, sy) for sx in (1, -1) for sy in (1, -1)]
+    _, cls = _configuration_classes(
+        tuple(np.concatenate(parts) for parts in zip(*images)))
+    cls = cls.reshape(4, first.size)
+    assert np.all(cls == cls[0]) and np.unique(cls[0]).size == first.size
+    for order in (12, 24):
+        got = [_class_power(key, 1.5, order) for key in images]
+        assert np.all(got[0] > 0.0)
+        for g in got[1:]:
+            np.testing.assert_allclose(g, got[0], rtol=1e-13, atol=0.0)
+    R = rows[first]
+    cand, valid = _touching_lists(wd, R)
+    dc = (lab[cand] != lab[R][:, None]).astype(float)
+    own = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, 12)
+    np.testing.assert_allclose(_class_power(reps, 1.5, 12),
+                               own / wd.delta[R] ** 0.5, rtol=1e-10, atol=0.0)
 
 
 def test_edge_weights_mixed_rows_match_planar_seminorm(tri):
