@@ -20,7 +20,12 @@ local configurations, which fix the integral up to the scale delta^(2-p).
 A class is folded under both mirrors about the square's centre and is
 integrated on the unit square from its integer configuration, with the bump
 profiles read from one table of level differences and offsets; squares
-touching two or more other clusters stay on the direct quadrature.
+touching two or more other clusters stay on the direct quadrature.  The
+unit that is integrated is the panel block, not the square: the integrand
+on a block reads only its panels, the square's height and the touching
+squares whose bumps reach it, and such blocks repeat across
+classes, so each class of blocks, folded under the same mirrors, is
+integrated once and every class sums its blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .interpolant import (PatchedInterpolant, _differing_pairs,
 from .whitney import _profile, e2_anchor_indices
 
 QUAD_CHUNK = 400_000
+# nodes per batch of class blocks: each field of a batch stays in cache
+BLOCK_NODES = 16_384
 
 # Span [-1, 1] split where the blend changes analytic form.  Touching squares
 # come in sizes half/equal/double at dyadic positions, so their bump bands
@@ -108,40 +115,41 @@ def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand, valid
 
 
-def _batches(n: int, order: int):
-    """Slices of n rows sized for the tensor rule of `order`."""
-    m = _panel_rule(order)[0].size
-    step = max(1, 2_000_000 // (m * m))
+def _batches(n: int, per: int, budget: int):
+    """Slices of n items of `per` nodes each, at most `budget` nodes to a
+    slice (at least one item)."""
+    step = max(1, budget // per)
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _row_batches(wd, rows: np.ndarray, order: int):
     """Rows in batches sized for the tensor rule of `order`, each with its
     touching list padded to a rectangle: (R, cand, valid)."""
-    for sl in _batches(rows.size, order):
+    m = _panel_rule(order)[0].size
+    for sl in _batches(rows.size, m * m, 2_000_000):
         R = rows[sl]
         yield (R, *_touching_lists(wd, R))
 
 
-def _active_blocks(differ, xprof, yprof):
+def _panel_reach(prof) -> np.ndarray:
+    """Panels on which a profile triple (g, g', g'') along the panel-rule
+    nodes (last axis) has any nonzero value: the leading shape plus (npan,).
+    """
+    npan = PANEL_EDGES.size - 1
+    return np.logical_or.reduce(
+        [np.any(g.reshape(*g.shape[:-1], npan, -1) != 0, axis=-1)
+         for g in prof])
+
+
+def _active_blocks(differ, xreach, yreach):
     """(row, x-panel, y-panel) index arrays of the panel blocks on which the
     bump of some differing entry is nonzero along both axes.
 
     differ (rows, entries) marks the valid touching entries whose piece
-    differs from the row's; xprof and yprof are the 1-d profile triples
-    (g, g', g''), each of shape (rows, entries, m), at the panel-rule nodes.
+    differs from the row's; xreach and yreach (rows, entries, npan) are
+    `_panel_reach` of their profiles along x and along y.
     """
-    nr, ne, m = xprof[0].shape
-    npan = PANEL_EDGES.size - 1
-
-    def reach(prof):
-        nz = np.zeros((nr, ne, npan), dtype=bool)
-        for g in prof:
-            nz |= np.any(g.reshape(nr, ne, npan, m // npan) != 0, axis=3)
-        return nz
-
-    hit = np.matmul((differ[:, :, None] & reach(xprof)).transpose(0, 2, 1),
-                    reach(yprof))
+    hit = np.matmul((differ[:, :, None] & xreach).transpose(0, 2, 1), yreach)
     return np.nonzero(hit)
 
 
@@ -179,12 +187,7 @@ def _blend_power(xprof, yprof, xn, yn, area, valid, da, db, dc, p: float,
     nodes; xprof is zero on the padding.  xn and yn (rows, m) are the node
     coordinates the piece differences are affine in (xn may be None when da
     and db are), area (rows,) is each row's area over 4, the Jacobian of the
-    rule on [-1, 1]^2.  Tensor-grid nodes factor every bump into 1-d
-    profiles, so each field (the normalizing sum, its derivatives, the
-    difference-weighted blends) is a batched matrix product over the touching
-    lists: roughly two orders of magnitude fewer profile evaluations than the
-    pointwise path.  With da and db None their products are skipped and
-    every other term is computed as in the general case.
+    rule on [-1, 1]^2.
 
     Fields are formed only on the (x-panel, y-panel) blocks of each row that
     some differing bump reaches along both axes (`_active_blocks`).  That
@@ -192,29 +195,51 @@ def _blend_power(xprof, yprof, xn, yn, area, valid, da, db, dc, p: float,
     on, and the panel edges lie on those support edges, so on any other
     block every difference-weighted blend is a sum of exact zeros, and with
     it the Hessian.  Only the order of summation differs from integrating
-    every node.
+    every node.  The gathered blocks go through `_block_power`.
     """
     gw = _panel_rule(order)[1]
     npan = PANEL_EDGES.size - 1
     k = gw.size // npan
     nr, ne = valid.shape
+    differ = dc != 0
+    if db is not None:
+        differ |= (da != 0) | (db != 0)
+    b, px, py = _active_blocks(differ & valid, _panel_reach(xprof),
+                               _panel_reach(yprof))
+    U, Ux, Uxx = (g.reshape(nr, ne, npan, k)[b, :, px] for g in xprof)
+    V, Vy, Vyy = (g.reshape(nr, ne, npan, k)[b, :, py] for g in yprof)
+    Y = yn.reshape(nr, npan, k)[b, py][:, None, :]
+    X = None
+    if db is not None:
+        X = xn.reshape(nr, npan, k)[b, px][:, :, None]
+        da, db = da[b], db[b]
+    wp = gw.reshape(npan, k)
+    per_block = _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc[b], X, da, db,
+                             wp[px], wp[py], p)
+    return np.bincount(b, weights=per_block * area[b], minlength=nr)
 
+
+def _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc, X, da, db, wx, wy,
+                 p: float) -> np.ndarray:
+    """Sum of |Hessian|^p of the blend times the node weights over each
+    panel block, shape (blocks,).
+
+    U, Ux, Uxx and V, Vy, Vyy (blocks, entries, k) are the bump profiles
+    (g, g', g'') of the touching entries along the block's x and y nodes,
+    zero in U on padding entries; (da, db, dc) (blocks, entries) are the
+    piece differences, which are affine in X (blocks, k, 1) and Y
+    (blocks, 1, k); wx, wy (blocks, k) are the node weights.  da, db and X
+    may all be None, meaning zero (the pieces of lifted leaf data differ
+    only in the vertical slope): their products are skipped and every other
+    term is computed as in the general case.  Tensor-grid nodes factor
+    every bump into 1-d profiles, so each field (the normalizing sum, its
+    derivatives, the difference-weighted blends) is a batched matrix
+    product over the entries.
+    """
     def mm(wk, A, B):
         if wk is None:
             return np.matmul(A.transpose(0, 2, 1), B)
         return np.matmul((wk[:, :, None] * A).transpose(0, 2, 1), B)
-
-    differ = dc != 0
-    if db is not None:
-        differ |= (da != 0) | (db != 0)
-    b, px, py = _active_blocks(differ & valid, xprof, yprof)
-    U, Ux, Uxx = (g.reshape(nr, ne, npan, k)[b, :, px] for g in xprof)
-    V, Vy, Vyy = (g.reshape(nr, ne, npan, k)[b, :, py] for g in yprof)
-    Y = yn.reshape(nr, npan, k)[b, py][:, None, :]
-    dc = dc[b]
-    if db is not None:
-        X = xn.reshape(nr, npan, k)[b, px][:, :, None]
-        da, db = da[b], db[b]
 
     iS = 1.0 / mm(None, U, V)
     P = mm(None, Ux, V) * iS
@@ -250,9 +275,7 @@ def _blend_power(xprof, yprof, xn, yn, area, valid, da, db, dc, p: float,
     Hxy = iS * (sxy + Bdc_xv - P * Bdc_uv)
 
     frob = np.sqrt(Hxx ** 2 + 2.0 * Hxy ** 2 + Hyy ** 2)
-    wp = gw.reshape(npan, k)
-    per_block = np.einsum("nij,ni,nj->n", frob ** p, wp[px], wp[py])
-    return np.bincount(b, weights=per_block * area[b], minlength=nr)
+    return np.einsum("nij,ni,nj->n", frob ** p, wx, wy)
 
 
 def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
@@ -313,8 +336,9 @@ class EdgeWeights:
     integral over `mixed_rows`, the squares touching two or more other
     clusters.  pairs holds cluster rows (a < b); M_coarse and M_fine are the
     weights at quad_order and at 2 * quad_order.  n_rows counts the squares
-    with one other cluster and n_classes their configuration classes, one
-    integral each (see `edge_weights`); both are read-only output.
+    with one other cluster, n_classes their configuration classes and
+    n_blocks the classes of panel blocks integrated at the fine order, one
+    integral each (see `edge_weights`); all three are read-only output.
     """
 
     p: float
@@ -325,6 +349,7 @@ class EdgeWeights:
     mixed_rows: np.ndarray
     n_rows: int
     n_classes: int
+    n_blocks: int
 
     def seminorm(self, Phi: np.ndarray, F: PatchedInterpolant,
                  refine_tol: float = 0.01) -> tuple[float, float]:
@@ -371,6 +396,47 @@ def _mirror(conf: tuple, sx: int, sy: int) -> tuple:
     return dl, sx * ox, sy * oy, other, valid, sy * height
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """Rank of each row of the 2-d integer array a among its distinct rows
+    in lexicographic order (the inverse of np.unique(a, axis=0)), by one
+    lexsort and a compare of adjacent sorted rows.  Each column is shifted
+    to start at 0 and sorted in the narrowest unsigned type that holds it,
+    which numpy sorts by radix when it has 16 bits or fewer."""
+    cols = [c - c.min() for c in a.T]
+    cols = [c.astype(np.min_scalar_type(c.max())) for c in cols]
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(len(a), dtype=bool)
+    new[0] = True
+    for c in cols:
+        s = c[order]
+        new[1:] |= s[1:] != s[:-1]
+    rank = np.empty(len(a), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
+
+
+def _mirror_classes(keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows keyed by keys, one integer array per mirror
+    image in the same row order; rows share a class when some images share
+    a key.  (index of each class's first row, class of each row)."""
+    rank = _unique_rows(np.vstack(keys)).reshape(len(keys), -1)
+    _, first, cls = np.unique(rank.min(axis=0), return_index=True,
+                              return_inverse=True)
+    return first, cls.ravel()
+
+
+def _mirror_keys(conf: tuple, sx: int, sy: int) -> list:
+    """Key columns of each row of conf under x -> sx * x, y -> sy * y: the
+    height, then the sorted entry codes with the padding last."""
+    dl, ox, oy, other, valid, height = _mirror(conf, sx, sy)
+    # one integer per entry, digits (dl + 1, ox + 6, oy + 6, flag) in radix
+    # (3, 13, 13, 2): touching squares have |dl| <= 1 and centre offsets
+    # within 6 quarters; the padding sorts last
+    code = (((dl + 1) * 13 + ox + 6) * 13 + oy + 6) * 2 + other
+    code = np.where(valid, code, 3 * 13 * 13 * 2)
+    return [height[:, None], np.sort(code, axis=1)]
+
+
 def _configuration_classes(conf: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Classes of rows with the same unit-jump integral up to the scale
     delta^(2 - p): (index of each class's first row, class of each row).
@@ -382,20 +448,8 @@ def _configuration_classes(conf: tuple) -> tuple[np.ndarray, np.ndarray]:
     symmetric about 0, so a configuration and its three mirror images share
     a class.  Integer arithmetic throughout.
     """
-    keys = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            dl, ox, oy, other, valid, height = _mirror(conf, sx, sy)
-            # one integer per entry, digits (dl + 1, ox + 6, oy + 6, flag)
-            # in radix (3, 13, 13, 2): touching squares have |dl| <= 1 and
-            # centre offsets within 6 quarters; the padding sorts last
-            entry = (((dl + 1) * 13 + ox + 6) * 13 + oy + 6) * 2 + other
-            entry = np.sort(np.where(valid, entry, 3 * 13 * 13 * 2), axis=1)
-            keys.append(np.column_stack([height, entry]))
-    _, inv = np.unique(np.vstack(keys), axis=0, return_inverse=True)
-    folded = inv.reshape(4, -1).min(axis=0)
-    _, first, cls = np.unique(folded, return_index=True, return_inverse=True)
-    return first, cls.ravel()
+    return _mirror_classes([np.hstack(_mirror_keys(conf, sx, sy))
+                            for sx in (1, -1) for sy in (1, -1)])
 
 
 def _profile_table(gx: np.ndarray) -> tuple:
@@ -411,28 +465,94 @@ def _profile_table(gx: np.ndarray) -> tuple:
     return g, g1 * s, g2 * (s * s)
 
 
+def _class_blocks(conf: tuple, order: int) -> tuple:
+    """Active panel blocks of the unit jump in each configuration of conf,
+    each with the configuration of the touching entries that reach it:
+    (row, x-panel, y-panel, dl, ox, oy, other, on, height).
+
+    A block is active when the bump of an other-cluster entry reaches it
+    along both axes (`_active_blocks`), read from `_panel_reach` of the
+    profile table.  An entry reaches the block when its bump does so along
+    both axes; any other entry's bump is exactly zero on the block along
+    one axis, so it adds exact zeros to every field.  (dl, ox, oy, other)
+    (blocks, width) list the reaching entries in touching-list order,
+    padded to the largest count of them; on marks the ones that are not
+    padding, and height is the row's.
+    """
+    dl, ox, oy, other, valid, height = conf
+    reach = _panel_reach(_profile_table(_panel_rule(order)[0]))
+    xr, yr = reach[dl + 1, ox + 6], reach[dl + 1, oy + 6]
+    b, px, py = _active_blocks(valid & other, xr, yr)
+    near = valid[b] & xr[b, :, px] & yr[b, :, py]
+    width = int(near.sum(axis=1).max(initial=0))
+    e = np.argsort(~near, axis=1, kind="stable")[:, :width]
+    r = b[:, None]
+    return (b, px, py, dl[r, e], ox[r, e], oy[r, e], other[r, e],
+            np.take_along_axis(near, e, axis=1), height[b])
+
+
+def _block_classes(blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the active blocks (`_class_blocks`) with the same
+    integral: (index of each class's first block, class of each block).
+
+    The integrand on a block reads only its panels, its row's height and
+    the entries that reach it, so the key is (x-panel, y-panel) plus the
+    key of that configuration, folded under both mirrors as in
+    `_configuration_classes`: x -> -x also reverses the x-panels, y -> -y
+    the y-panels.
+    """
+    _, px, py = blocks[:3]
+    last = PANEL_EDGES.size - 2
+    return _mirror_classes([
+        np.column_stack([px if sx > 0 else last - px,
+                         py if sy > 0 else last - py,
+                         *_mirror_keys(blocks[3:], sx, sy)])
+        for sx in (1, -1) for sy in (1, -1)])
+
+
+def _blocks_power(blocks: tuple, p: float, order: int) -> np.ndarray:
+    """Integral of |Hessian|^p of the unit jump over each of the given
+    blocks (`_class_blocks`) in the rule's coordinates on [-1, 1]^2, shape
+    (blocks,), from the entries that reach each block; on the unit square
+    it is a quarter of this.  The field is y * theta_other, with
+    y = height/8 + gx/2.
+    """
+    gx, gw = _panel_rule(order)
+    npan = PANEL_EDGES.size - 1
+    k = gx.size // npan
+    table = [t.reshape(3, 13, npan, k) for t in _profile_table(gx)]
+    wp = gw.reshape(npan, k)
+    out = []
+    for sl in _batches(blocks[0].size, k * k, BLOCK_NODES):
+        _, px, py, dl, ox, oy, other, on, height = (x[sl] for x in blocks)
+        i, qx, qy = dl + 1, px[:, None], py[:, None]
+        U, Ux, Uxx = (t[i, ox + 6, qx] * on[:, :, None] for t in table)
+        V, Vy, Vyy = (t[i, oy + 6, qy] for t in table)
+        Y = height[:, None] / 8.0 + 0.5 * gx.reshape(npan, k)[py]
+        out.append(_block_power(U, Ux, Uxx, V, Vy, Vyy, Y[:, None, :],
+                                (other & on).astype(float), None, None,
+                                None, wp[px], wp[py], p))
+    return np.concatenate(out)
+
+
 def _class_power(conf: tuple, p: float, order: int) -> np.ndarray:
     """Integral of |Hessian|^p of the unit jump over a unit square in each
     configuration of conf (`_configurations`), shape (rows,).
 
-    The field is y * theta_other; on the unit square y = height/8 + gx/2.
-    The profiles come from `_profile_table`, so members of one class get
-    the same integral whatever their depth in the frame.  A square of side
-    delta in that configuration integrates to delta^(2 - p) times this.
+    The integral is the sum over the square's active panel blocks
+    (`_class_blocks`), and blocks repeat across configurations: each class
+    of blocks (`_block_classes`) is integrated once, from its first block,
+    with only the entries that reach it.  The profiles come from
+    `_profile_table`, so members of one class get the same integral
+    whatever their depth in the frame.  A square of side delta in that
+    configuration integrates to delta^(2 - p) times this.
     """
-    dl, ox, oy, other, valid, height = conf
-    gx = _panel_rule(order)[0]
-    table = _profile_table(gx)
-    out = []
-    for sl in _batches(height.size, order):
-        i, vm = dl[sl] + 1, valid[sl][:, :, None]
-        xprof = tuple(t[i, ox[sl] + 6] * vm for t in table)
-        yprof = tuple(t[i, oy[sl] + 6] for t in table)
-        yn = height[sl][:, None] / 8.0 + 0.5 * gx[None, :]
-        out.append(_blend_power(xprof, yprof, None, yn,
-                                np.full(yn.shape[0], 0.25), valid[sl], None,
-                                None, other[sl].astype(float), p, order))
-    return np.concatenate(out)
+    blocks = _class_blocks(conf, order)
+    first, cls = _block_classes(blocks)
+    per_block = _blocks_power(tuple(x[first] for x in blocks), p,
+                              order)[cls]
+    return 0.25 * np.bincount(blocks[0], weights=per_block,
+                              minlength=len(conf[0]))
 
 
 def edge_weights(wd, ct: ClusterTree, p: float,
@@ -442,8 +562,10 @@ def edge_weights(wd, ct: ClusterTree, p: float,
 
     The rows with one other cluster fall into configuration classes, folded
     under both mirrors (`_configuration_classes`).  Each class is integrated
-    once on the unit square from its integer configuration
-    (`_class_power`); every row takes that integral times delta_row^(2 - p).
+    on the unit square from its integer configuration (`_class_power`):
+    its active panel blocks fall into block classes across all
+    configurations, and each block class is integrated once.  Every row
+    takes its class integral times delta_row^(2 - p).
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -451,9 +573,12 @@ def edge_weights(wd, ct: ClusterTree, p: float,
         raise ValueError("clusters are not assigned to squares")
     lab = ct.square_cluster.astype(np.int64)
     n = np.int64(ct.n_clusters)
-    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
-    other = lab[wd.neighbors] != lab[src]
-    touch = np.unique(src[other] * n + lab[wd.neighbors][other])
+    ip = wd.neighbors_indptr
+    lab32 = lab.astype(np.int32)
+    nl = lab32[wd.neighbors]
+    hit = np.flatnonzero(nl != np.repeat(lab32, np.diff(ip)))
+    src = np.searchsorted(ip, hit, "right") - 1
+    touch = np.unique(src * n + nl[hit])
     rows, partner = touch // n, touch % n
     n_other = np.bincount(rows, minlength=wd.n)
     mixed = np.flatnonzero(n_other >= 2)
@@ -469,9 +594,10 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     M = [np.bincount(pair_of_row, weights=scale * _class_power(reps, p, o)[cls],
                      minlength=keys.size)
          for o in (quad_order, 2 * quad_order)]
+    n_blocks = _block_classes(_class_blocks(reps, 2 * quad_order))[0]
     pairs = np.column_stack([keys // n, keys % n])
     return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed,
-                       int(rows.size), int(first.size))
+                       int(rows.size), int(first.size), int(n_blocks.size))
 
 
 def disk_rule(center, radius: float, rings: int = 64,

@@ -245,7 +245,8 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
     seminorm of the round trip (plane and back) over the same trace seminorm.
     The planar seminorm comes from edge weights integrated once per call, one
     integral per configuration class (`edge_weight_classes` classes over
-    `edge_weight_rows` squares); with the optimal backend their largest
+    `edge_weight_rows` squares), summed from `edge_weight_blocks` classes of
+    panel blocks; with the optimal backend their largest
     ratio to the tree weights bounds every rho_plane (`rho_plane_bound`,
     else None).  Deterministic given the seed; constant draws are resampled.
     """
@@ -271,6 +272,7 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
         "rho_plane_bound": None if bound is None else bound[0],
         "rho_plane_bound_error": None if bound is None else bound[1],
         "edge_weight_rows": ew.n_rows, "edge_weight_classes": ew.n_classes,
+        "edge_weight_blocks": ew.n_blocks,
         "rho_plane": {"min": float(rp.min()), "median": float(np.median(rp)),
                       "max": float(rp.max())},
         "rho_tree": {"min": float(rt.min()), "median": float(np.median(rt)),

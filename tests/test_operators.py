@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from treeplane import operators
-from treeplane.analysis import (_class_power, _configuration_classes,
-                                _configurations, _hess_power, _mirror,
-                                _row_batches, _touching_lists, edge_weights,
+from treeplane.analysis import (_block_classes, _blend_power,
+                                _blocks_power, _class_blocks, _class_power,
+                                _configuration_classes, _configurations,
+                                _hess_power, _mirror, _panel_rule,
+                                _profile_table, _row_batches,
+                                _touching_lists, edge_weights,
                                 planar_seminorm)
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
@@ -339,6 +342,44 @@ def test_class_keys_fold_both_mirrors():
                                own / wd.delta[R] ** 0.5, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("name", ["n2d2-loose", "n3d2-loose"])
+def test_block_classes_match_blocks(name):
+    """Summing block classes gives each class the integral of its whole
+    padded touching list on every block, and the members of a block class,
+    mirror images included, integrate equally."""
+    tree, ps, wd, ct = instance_geometry(canonical(name))
+    lab = ct.square_cluster.astype(np.int64)
+    rows, _ = _single_other_rows(wd, lab)
+    conf = _configurations(wd, lab, rows)
+    first, _ = _configuration_classes(conf)
+    reps = tuple(c[first] for c in conf)
+    images = tuple(np.concatenate(parts) for parts in zip(
+        *[_mirror(reps, sx, sy) for sx in (1, -1) for sy in (1, -1)]))
+    dl, ox, oy, other, valid, height = reps
+    for order in (12, 24):
+        gx = _panel_rule(order)[0]
+        table = _profile_table(gx)
+        vm = valid[:, :, None]
+        xprof = tuple(t[dl + 1, ox + 6] * vm for t in table)
+        yprof = tuple(t[dl + 1, oy + 6] for t in table)
+        yn = height[:, None] / 8.0 + 0.5 * gx[None, :]
+        want = _blend_power(xprof, yprof, None, yn,
+                            np.full(first.size, 0.25), valid, None, None,
+                            other.astype(float), 1.5, order)
+        got = _class_power(reps, 1.5, order)
+        assert np.all(got > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+        blocks = _class_blocks(images, order)
+        head, cls = _block_classes(blocks)
+        assert head.size == _block_classes(_class_blocks(reps, order))[0].size
+        assert head.size < blocks[0].size
+        each = _blocks_power(blocks, 1.5, order)
+        assert np.all(each[head] > 0.0)
+        np.testing.assert_allclose(each, each[head][cls], rtol=1e-13,
+                                   atol=0.0)
+
+
 def test_edge_weights_mixed_rows_match_planar_seminorm(tri):
     tree, ps, wd, ct = tri
     # relabel one square on a cluster boundary to a third cluster, so that
@@ -383,6 +424,15 @@ def test_experiment_rows_within_plane_bound(tri):
                                 geometry=(ps, wd, ct))
     assert avg["rho_plane_bound"] is None
     assert avg["rho_plane_bound_error"] is None
+
+
+def test_experiment_reports_edge_weight_counts():
+    tree, ps, wd, ct = instance_geometry(canonical("n2d1-tight"))
+    rep = norm_ratio_experiment(tree, p=1.5, n_trials=1, seed=5,
+                                geometry=(ps, wd, ct))
+    assert (rep["edge_weight_rows"], rep["edge_weight_classes"],
+            rep["edge_weight_blocks"]) == (216, 81, 532)
+    assert edge_weights(wd, ct, 1.5).n_blocks == 532
 
 
 def test_csv_round_trip(tri, tmp_path):
