@@ -30,12 +30,13 @@ integrated once and every class sums its blocks.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterTree
+from .clusters import ClusterTree, cross_cluster_rows
 from .interpolant import (PatchedInterpolant, _differing_pairs,
                           affine_through)
 from .whitney import _profile, e2_anchor_indices
@@ -52,22 +53,32 @@ PANEL_EDGES = np.array([-1.0, -0.95, -0.9, -0.8, -0.05, 0.0,
                         0.05, 0.8, 0.9, 0.95, 1.0])
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
+@functools.lru_cache(maxsize=None)
 def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule on [-1, 1] over the panels.  The per-panel count
-    grows with the requested order but stays below it: the pieces between
-    edges are smooth, so moderate counts already converge, and |H|^p kinks
-    inside a panel (p < 2) reward extra points more than extra exactness."""
+    """Composite Gauss rule on [-1, 1] over the panels, cached read-only.
+    The per-panel count grows with the requested order but stays below it:
+    the pieces between edges are smooth, so moderate counts already
+    converge, and |H|^p kinks inside a panel (p < 2) reward extra points
+    more than extra exactness."""
     gx, gw = _gl(max(3, (2 * order) // 3))
     lo, hi = PANEL_EDGES[:-1], PANEL_EDGES[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 def _active_rows(F: PatchedInterpolant) -> np.ndarray:
@@ -535,9 +546,10 @@ def _blocks_power(blocks: tuple, p: float, order: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _class_power(conf: tuple, p: float, order: int) -> np.ndarray:
+def _class_power(conf: tuple, p: float, order: int) -> tuple[np.ndarray, int]:
     """Integral of |Hessian|^p of the unit jump over a unit square in each
-    configuration of conf (`_configurations`), shape (rows,).
+    configuration of conf (`_configurations`), shape (rows,), and the number
+    of block classes integrated.
 
     The integral is the sum over the square's active panel blocks
     (`_class_blocks`), and blocks repeat across configurations: each class
@@ -551,8 +563,8 @@ def _class_power(conf: tuple, p: float, order: int) -> np.ndarray:
     first, cls = _block_classes(blocks)
     per_block = _blocks_power(tuple(x[first] for x in blocks), p,
                               order)[cls]
-    return 0.25 * np.bincount(blocks[0], weights=per_block,
-                              minlength=len(conf[0]))
+    return (0.25 * np.bincount(blocks[0], weights=per_block,
+                               minlength=len(conf[0])), int(first.size))
 
 
 def edge_weights(wd, ct: ClusterTree, p: float,
@@ -565,7 +577,9 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     on the unit square from its integer configuration (`_class_power`):
     its active panel blocks fall into block classes across all
     configurations, and each block class is integrated once.  Every row
-    takes its class integral times delta_row^(2 - p).
+    takes its class integral times delta_row^(2 - p).  The rows come from
+    the touching lists of the squares on a cluster boundary, which
+    assign_clusters records (`ct.cross_rows`).
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -573,12 +587,13 @@ def edge_weights(wd, ct: ClusterTree, p: float,
         raise ValueError("clusters are not assigned to squares")
     lab = ct.square_cluster.astype(np.int64)
     n = np.int64(ct.n_clusters)
-    ip = wd.neighbors_indptr
-    lab32 = lab.astype(np.int32)
-    nl = lab32[wd.neighbors]
-    hit = np.flatnonzero(nl != np.repeat(lab32, np.diff(ip)))
-    src = np.searchsorted(ip, hit, "right") - 1
-    touch = np.unique(src * n + nl[hit])
+    R = ct.cross_rows
+    if R is None:    # labels set by hand rather than by assign_clusters
+        R = cross_cluster_rows(wd, lab)
+    cand, valid = _touching_lists(wd, R)
+    nl = lab[cand]
+    hit = valid & (nl != lab[R][:, None])
+    touch = np.unique(np.broadcast_to(R[:, None], hit.shape)[hit] * n + nl[hit])
     rows, partner = touch // n, touch % n
     n_other = np.bincount(rows, minlength=wd.n)
     mixed = np.flatnonzero(n_other >= 2)
@@ -591,13 +606,14 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     first, cls = _configuration_classes(conf)
     reps = tuple(c[first] for c in conf)
     scale = wd.delta[rows] ** (2.0 - p)
-    M = [np.bincount(pair_of_row, weights=scale * _class_power(reps, p, o)[cls],
-                     minlength=keys.size)
-         for o in (quad_order, 2 * quad_order)]
-    n_blocks = _block_classes(_class_blocks(reps, 2 * quad_order))[0]
+    M = []
+    for o in (quad_order, 2 * quad_order):
+        w, n_blocks = _class_power(reps, p, o)
+        M.append(np.bincount(pair_of_row, weights=scale * w[cls],
+                             minlength=keys.size))
     pairs = np.column_stack([keys // n, keys % n])
     return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed,
-                       int(rows.size), int(first.size), int(n_blocks.size))
+                       int(rows.size), int(first.size), n_blocks)
 
 
 def disk_rule(center, radius: float, rings: int = 64,

@@ -42,8 +42,11 @@ class ClusterBallError(RuntimeError):
 class ClusterTree:
     """Clusters indexed like the tree nodes (cluster i = shadow of node i).
 
-    members(i) gives the E2 rows; y[i], radius[i] the ball; square_cluster is
-    filled by assign_clusters.  kappa and K1 are stored for reporting.
+    members(i) gives the E2 rows; y[i], radius[i] the ball; square_cluster and
+    cross_rows (the squares whose touching list holds another cluster) are
+    filled by assign_clusters.  Setting square_cluster by hand clears
+    cross_rows, which is derived from it.  kappa and K1 are stored for
+    reporting.
     """
 
     def __init__(self, tree: WeightedTree, ps: PlanarSet, kappa: float,
@@ -56,8 +59,17 @@ class ClusterTree:
         self.y = ps.e2[first_leaf].copy()
         self.radius = kappa * K1 * tree.weights
         self.depths = tree.depths
-        self.square_cluster: np.ndarray | None = None
+        self.square_cluster = None
         self.report: dict = {}
+
+    @property
+    def square_cluster(self) -> np.ndarray | None:
+        return self._square_cluster
+
+    @square_cluster.setter
+    def square_cluster(self, lab: np.ndarray | None) -> None:
+        self._square_cluster = lab
+        self.cross_rows = None
 
     @property
     def n_clusters(self) -> int:
@@ -241,10 +253,21 @@ def _square_in_ball(wd: WhitneyDecomposition, rows: np.ndarray, center,
     return np.hypot(dx, dy) <= radius + tol
 
 
+def cross_cluster_rows(wd: WhitneyDecomposition, lab: np.ndarray) -> np.ndarray:
+    """Ascending rows whose touching list holds a square of another cluster
+    under the labels lab: the squares on a cluster boundary."""
+    ip = wd.neighbors_indptr
+    small = lab.astype(np.min_scalar_type(int(lab.max())))  # narrow gathers
+    hit = np.flatnonzero(small[wd.neighbors] != np.repeat(small, np.diff(ip)))
+    return np.unique(np.searchsorted(ip, hit, "right") - 1)
+
+
 def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
     """Deepest cluster whose ball contains each square, by root-to-leaf descent.
 
-    Stores and returns the array of cluster indices (tree-node rows).  Raises
+    Stores and returns the array of cluster indices (tree-node rows), and
+    stores the squares on a cluster boundary (`cross_cluster_rows`) as
+    ct.cross_rows.  Raises
     on descent ambiguity (impossible while same-depth balls are disjoint) and
     asserts the two pinned cases: Type II squares land on the witness's leaf
     cluster and frame squares stay at the root.
@@ -285,6 +308,7 @@ def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
     if not np.all(assign[wd.boundary] == 0):
         raise AssertionError("a frame square left the root cluster")
     ct.square_cluster = assign
+    ct.cross_rows = cross_cluster_rows(wd, assign)
     return assign
 
 

@@ -67,9 +67,6 @@ class PlanarSet:
     def n_e2(self) -> int:
         return self.e2.shape[0]
 
-    def e1_x(self, k) -> np.ndarray | float:
-        return np.asarray(k) * self.delta
-
     def e1_points(self) -> np.ndarray:
         """Materialized grid; refuses above the cap (use the arithmetic queries)."""
         if self.e1_count > E1_MATERIALIZE_CAP:
@@ -80,15 +77,12 @@ class PlanarSet:
 
     def nearest_e1(self, q) -> np.ndarray:
         """Grid point closest to q; ties broken toward smaller x; clamped to
-        the grid range.  Only the first coordinate of q matters."""
+        the grid range.  Only the first coordinate of q matters.  A test
+        oracle: the pipeline reads grid points through index arithmetic."""
         x = float(np.asarray(q, dtype=float).ravel()[0])
         k = math.ceil(x / self.delta - 0.5)  # round half down
         k = min(max(k, 0), self.e1_count - 1)
         return np.array([k * self.delta, 0.0])
-
-    def nearest_e1_index(self, x: float) -> int:
-        k = math.ceil(float(x) / self.delta - 0.5)
-        return min(max(k, 0), self.e1_count - 1)
 
     def e1_index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Indices k with lo <= k*delta <= hi as a half-open pair (k0, k1).
@@ -107,6 +101,8 @@ class PlanarSet:
         return (k0, k1 + 1) if k0 <= k1 else (0, 0)
 
     def count_e1(self, lo: float, hi: float) -> int:
+        """Grid points with lo <= x <= hi.  A test oracle: the
+        decomposition counts with a vectorised form of e1_index_range."""
         k0, k1 = self.e1_index_range(lo, hi)
         return k1 - k0
 

@@ -44,12 +44,14 @@ class PlanarData:
 
     The grid part is huge and almost never read, so it is stored as either a
     constant or a callable on the first coordinate, with explicit per-index
-    overrides taking precedence.
+    overrides taking precedence.  Data lifted from leaf slopes keeps those
+    slopes (`lifted`, leaf order), which are its leaf slopes exactly.
     """
 
     e2_values: np.ndarray
     e1_rule: float | Callable[[np.ndarray], np.ndarray] = 0.0
     e1_overrides: dict[int, float] = field(default_factory=dict)
+    lifted: np.ndarray | None = None
 
     def __post_init__(self):
         self.e2_values = np.asarray(self.e2_values, dtype=float)
@@ -75,8 +77,9 @@ class PlanarData:
     def from_leaf_function(cls, tree: WeightedTree, ps: PlanarSet,
                            phi: LeafFunction) -> "PlanarData":
         """Zero on the grid, slope * weight at each upper point."""
-        vals = phi.to_array(tree) * ps.e2[:, 1]
-        return cls(e2_values=vals, e1_rule=0.0)
+        slopes = phi.to_array(tree)
+        return cls(e2_values=slopes * ps.e2[:, 1], e1_rule=0.0,
+                   lifted=slopes)
 
 
 def _tree_backend(backend) -> Callable:
@@ -99,7 +102,11 @@ def _grid_affine(ps: PlanarSet, f: PlanarData, kz: np.ndarray,
 
 def leaf_slopes(ps: PlanarSet, f: PlanarData) -> np.ndarray:
     """Vertical slope of the three-point jet at each upper point: the affine
-    through the point and its two grid anchors, differentiated vertically."""
+    through the point and its two grid anchors, differentiated vertically.
+    Lifted data returns the slopes it was lifted from, which that formula
+    recovers only up to the last bit."""
+    if f.lifted is not None:
+        return f.lifted.copy()
     a, b = _grid_affine(ps, f, *e2_anchor_indices(ps))
     return (f.e2_values - a - b * ps.e2[:, 0]) / ps.e2[:, 1]
 
@@ -109,14 +116,21 @@ def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
     """Pieces: the horizontal affine through each square's two grid base
     points, plus the vertical slope Phi of the square's cluster.  Frame
     squares end up carrying the global tail automatically (shared base
-    points, root cluster)."""
+    points, root cluster).
+
+    When the horizontal part is one affine everywhere (as for every lift of
+    leaf data), pieces differ only across clusters, so the squares on a
+    cluster boundary are the only ones whose blend can mix pieces: they
+    are handed over as the blend rows.  Otherwise every square blends."""
     if ct.square_cluster is None:
         assign_clusters(ct, wd)
     a, b = _grid_affine(ps, f, wd.kz, wd.kw)
     coefs = np.column_stack([a, b, Phi[ct.square_cluster]])
     brow = int(np.flatnonzero(wd.boundary)[0])
     tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
-    return PatchedInterpolant(wd, coefs, tail)
+    one_affine = np.all(a == a[0]) and np.all(b == b[0])
+    return PatchedInterpolant(wd, coefs, tail,
+                              ct.cross_rows if one_affine else None)
 
 
 def planar_extend(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
@@ -175,8 +189,7 @@ def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
     """Extend leaf data through the plane: leaves keep their values exactly,
     every internal node gets the disk average of the vertical derivative of
     the planar extension of the lifted data over its cluster ball.  The tree
-    backend extends phi itself; the leaf slopes read back off its lift equal
-    phi only up to rounding."""
+    backend extends phi itself, as planar_extend does for its lift."""
     Phi = _tree_backend(tree_backend)(tree, phi, p).to_array(tree)
     F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
                      Phi)

@@ -109,6 +109,25 @@ def test_assignment_matches_exhaustive_scan_medium(medium):
     assert np.array_equal(got, want)
 
 
+def test_cross_rows_match_touching_list_scan(medium):
+    tree, ps, wd = medium
+    ct = build_clusters(tree, ps, kappa=10.25)
+    assert ct.cross_rows is None
+    lab = assign_clusters(ct, wd)
+    ip = wd.neighbors_indptr
+    want = [q for q in range(wd.n)
+            if np.any(lab[wd.neighbors[ip[q]:ip[q + 1]]] != lab[q])]
+    assert len(want) > 0
+    assert np.array_equal(ct.cross_rows, want)
+    # labels set by hand drop the rows derived from the old ones
+    ct.square_cluster = np.zeros(wd.n, dtype=np.int64)
+    assert ct.cross_rows is None
+    ct.cross_rows = np.arange(3)
+    # a second assignment refreshes both
+    assert np.array_equal(assign_clusters(ct, wd), lab)
+    assert np.array_equal(ct.cross_rows, want)
+
+
 def test_pinned_assignments(medium):
     tree, ps, wd = medium
     ct = build_clusters(tree, ps, kappa=10.25)

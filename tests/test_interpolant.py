@@ -1,11 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 
 from treeplane import WeightedTree
+from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
-from treeplane.whitney import decompose
+from treeplane.operators import PlanarData, planar_extend
+from treeplane.suite import canonical, instance_geometry
+from treeplane.tree_core import LeafFunction
+from treeplane.whitney import Q0_HI, Q0_LO, decompose
 from treeplane.interpolant import (AffinePolynomial, PatchedInterpolant,
-                                   affine_through, pair_linf_sum)
+                                   _differing_pairs, affine_through,
+                                   pair_linf_sum)
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +257,95 @@ def test_sample_csv_round_trip(small_wd, tmp_path):
     assert len(rows) == 1 + 11 * 7
     first = [float(t) for t in rows[1].split(",")]
     assert first[2] == pytest.approx(F((first[0], first[1])), abs=1e-15)
+
+
+# -- blend rows ------------------------------------------------------------------
+
+BLEND_GEOMETRIES = ["tri", "n2d1-tight", "n3d1-loose", "n2d2-loose"]
+
+
+@functools.lru_cache(maxsize=None)
+def tri_geometry():
+    tree = WeightedTree({"": 1.0, "0": 0.015, "1": 0.01, "2": 0.005}, N=3,
+                        epsilon=0.05 / 3)
+    ps = build_planar_set(tree)
+    wd = decompose(ps)
+    ct = build_clusters(tree, ps, kappa=10.25)
+    assign_clusters(ct, wd)
+    return tree, ps, wd, ct
+
+
+def blend_geometry(name):
+    if name == "tri":
+        return tri_geometry()
+    return instance_geometry(canonical(name))
+
+
+def lifted_extension(tree, ps, wd, ct, seed):
+    vals = np.random.default_rng(seed).standard_normal(tree.n_leaves)
+    phi = LeafFunction.from_array(tree, vals - vals.mean())
+    f = PlanarData.from_leaf_function(tree, ps, phi)
+    return planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
+
+
+def blend_probe_points(tree, ps, ct, seed):
+    """Points crowded around every cluster-ball circle (where squares of
+    different clusters meet), around the upper points and along the grid,
+    plus uniform points over a box reaching outside Q0."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i in range(1, tree.n_nodes):
+        ang = rng.uniform(0.0, 2.0 * np.pi, 400)
+        rad = ct.radius[i] * rng.uniform(0.7, 1.1, 400)
+        parts.append(ct.y[i] + rad[:, None] * np.column_stack(
+            [np.cos(ang), np.sin(ang)]))
+    e2 = ps.e2[rng.integers(0, ps.n_e2, 2000)]
+    parts.append(e2 + e2[:, 1:] * rng.uniform(-2.0, 2.0, (2000, 2)))
+    parts.append(np.column_stack([rng.uniform(-0.1, 2.1, 2000),
+                                  rng.uniform(-0.06, 0.06, 2000)]))
+    parts.append(rng.uniform(Q0_LO - 1.0, Q0_HI + 1.0, (2000, 2)))
+    return np.vstack(parts)
+
+
+@pytest.mark.parametrize("name", BLEND_GEOMETRIES)
+def test_differing_rows_are_blend_rows(name):
+    """The interpolant of lifted data blends on the cluster-boundary
+    squares, and they hold both squares of every touching pair whose pieces
+    differ."""
+    tree, ps, wd, ct = blend_geometry(name)
+    F = lifted_extension(tree, ps, wd, ct, seed=5)
+    assert F.blend is not None
+    assert np.array_equal(np.flatnonzero(F.blend), ct.cross_rows)
+    s, t = _differing_pairs(F)
+    assert s.size > 0
+    assert np.all(F.blend[s]) and np.all(F.blend[t])
+
+
+def assert_same_as_blending_everywhere(F, pts):
+    full = PatchedInterpolant(F.wd, F.coefs, F.tail)
+    inside = ((pts[:, 0] >= Q0_LO) & (pts[:, 0] < Q0_HI) &
+              (pts[:, 1] >= Q0_LO) & (pts[:, 1] < Q0_HI))
+    homed = F.blend[F.wd.locate(pts[inside])]
+    assert homed.any() and not homed.all() and not inside.all()
+    for order in (0, 1, 2):
+        assert np.array_equal(F.evaluate(pts, order), full.evaluate(pts, order))
+
+
+@pytest.mark.parametrize("name", ["tri", "n2d2-loose"])
+def test_lifted_evaluate_matches_blending_every_row(name):
+    tree, ps, wd, ct = blend_geometry(name)
+    F = lifted_extension(tree, ps, wd, ct, seed=6)
+    assert_same_as_blending_everywhere(F, blend_probe_points(tree, ps, ct, 7))
+
+
+@pytest.mark.parametrize("name", ["tri", "n2d2-loose"])
+def test_general_evaluate_matches_blending_every_row(name):
+    """General planar data blends every square; blending only on the rows
+    whose touching list holds a different piece gives the same numbers."""
+    tree, ps, wd, ct = blend_geometry(name)
+    f = PlanarData.from_affine(ps, AffinePolynomial(0.3, -0.7, 1.1))
+    G = planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
+    assert G.blend is None
+    F = PatchedInterpolant(wd, G.coefs, G.tail,
+                           np.union1d(*_differing_pairs(G)))
+    assert_same_as_blending_everywhere(F, blend_probe_points(tree, ps, ct, 8))

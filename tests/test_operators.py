@@ -97,11 +97,19 @@ def test_leaf_slopes_of_affine_data(tri):
 
 
 def test_leaf_slopes_invert_the_lift(tri):
-    tree, ps, _, _ = tri
-    phi = LeafFunction.from_array(tree, [0.3, -2.0, 1.1])
-    f = PlanarData.from_leaf_function(tree, ps, phi)
-    assert np.allclose(leaf_slopes(ps, f), phi.to_array(tree),
-                       rtol=1e-14, atol=0)
+    """Lifted data gives back exactly the slopes it was lifted from, so
+    planar_extend of a lift extends phi itself."""
+    for tree, ps, wd, ct in (tri, instance_geometry(canonical("n3d1-loose"))):
+        rng = np.random.default_rng(29)
+        for draw in range(20):
+            phi = LeafFunction.from_array(
+                tree, rng.standard_normal(tree.n_leaves))
+            f = PlanarData.from_leaf_function(tree, ps, phi)
+            assert np.array_equal(leaf_slopes(ps, f), phi.to_array(tree))
+        Phi = _tree_backend("averaging")(tree, phi, 1.5).to_array(tree)
+        F = planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
+        assert np.array_equal(F.coefs,
+                              _interpolant(ps, wd, ct, f, Phi).coefs)
 
 
 def test_tree_backend_dispatch():
@@ -330,7 +338,7 @@ def test_class_keys_fold_both_mirrors():
     cls = cls.reshape(4, first.size)
     assert np.all(cls == cls[0]) and np.unique(cls[0]).size == first.size
     for order in (12, 24):
-        got = [_class_power(key, 1.5, order) for key in images]
+        got = [_class_power(key, 1.5, order)[0] for key in images]
         assert np.all(got[0] > 0.0)
         for g in got[1:]:
             np.testing.assert_allclose(g, got[0], rtol=1e-13, atol=0.0)
@@ -338,7 +346,7 @@ def test_class_keys_fold_both_mirrors():
     cand, valid = _touching_lists(wd, R)
     dc = (lab[cand] != lab[R][:, None]).astype(float)
     own = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, 12)
-    np.testing.assert_allclose(_class_power(reps, 1.5, 12),
+    np.testing.assert_allclose(_class_power(reps, 1.5, 12)[0],
                                own / wd.delta[R] ** 0.5, rtol=1e-10, atol=0.0)
 
 
@@ -366,13 +374,14 @@ def test_block_classes_match_blocks(name):
         want = _blend_power(xprof, yprof, None, yn,
                             np.full(first.size, 0.25), valid, None, None,
                             other.astype(float), 1.5, order)
-        got = _class_power(reps, 1.5, order)
+        got, n_blocks = _class_power(reps, 1.5, order)
         assert np.all(got > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
         blocks = _class_blocks(images, order)
         head, cls = _block_classes(blocks)
-        assert head.size == _block_classes(_class_blocks(reps, order))[0].size
+        assert head.size == n_blocks
+        assert n_blocks == _block_classes(_class_blocks(reps, order))[0].size
         assert head.size < blocks[0].size
         each = _blocks_power(blocks, 1.5, order)
         assert np.all(each[head] > 0.0)
