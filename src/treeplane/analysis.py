@@ -11,6 +11,14 @@ edges, so the fields are formed only on the (x-panel, y-panel) blocks that
 the bump of some touching square with a different piece reaches; on every
 other block each difference-weighted blend, and so the Hessian, is an exact
 zero.  About a quarter of the blocks of a boundary square are reached.
+Both quadratures below gather their blocks one way: the blocks, and the
+touching squares whose bumps reach each one, come from a table of the
+panels reached per level difference and offset, and each block is
+integrated with only those squares.  They differ in the profiles alone.
+The direct quadrature evaluates them in floats at the block's nodes in the
+frame, as the point evaluator does, which keeps it within rounding of the
+pointwise oracle at any depth; the edge weights read them from the table,
+which keeps a class integral independent of depth.
 
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
@@ -42,7 +50,7 @@ from .interpolant import (PatchedInterpolant, _differing_pairs,
 from .whitney import _profile, e2_anchor_indices
 
 QUAD_CHUNK = 400_000
-# nodes per batch of class blocks: each field of a batch stays in cache
+# nodes per batch of panel blocks: each field of a batch stays in cache
 BLOCK_NODES = 16_384
 
 # Span [-1, 1] split where the blend changes analytic form.  Touching squares
@@ -133,23 +141,38 @@ def _batches(n: int, per: int, budget: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _row_batches(wd, rows: np.ndarray, order: int):
-    """Rows in batches sized for the tensor rule of `order`, each with its
-    touching list padded to a rectangle: (R, cand, valid)."""
-    m = _panel_rule(order)[0].size
-    for sl in _batches(rows.size, m * m, 2_000_000):
-        R = rows[sl]
-        yield (R, *_touching_lists(wd, R))
+def _touching_offsets(wd, rows: np.ndarray) -> tuple:
+    """Padded touching lists of rows (`_touching_lists`) in integer square
+    coordinates: (cand, dl, ox, oy, valid), with the level difference dl
+    and the centre offsets ox, oy in quarter sides of the row."""
+    cand, valid = _touching_lists(wd, rows)
+    s = wd.sidei[rows][:, None]
+    dside = wd.sidei[cand] - s
+    ox = (4 * (wd.x0i[cand] - wd.x0i[rows][:, None]) + 2 * dside) // s
+    oy = (4 * (wd.y0i[cand] - wd.y0i[rows][:, None]) + 2 * dside) // s
+    dl = wd.levels[cand] - wd.levels[rows][:, None]
+    return cand, dl, ox, oy, valid
 
 
-def _panel_reach(prof) -> np.ndarray:
-    """Panels on which a profile triple (g, g', g'') along the panel-rule
-    nodes (last axis) has any nonzero value: the leading shape plus (npan,).
-    """
+@functools.lru_cache(maxsize=None)
+def _profile_table(order: int) -> tuple:
+    """Bump profiles (g, g', g'') of every square that can touch a unit
+    square centred at 0, at the panel-rule nodes gx of order, each of shape
+    (3, 13, gx.size) and indexed [dl + 1, o + 6] by level difference and
+    centre offset o in quarter sides; then the panels (3, 13, npan) on
+    which each profile triple has a nonzero value.  Cached read-only.  The
+    touching square has side 2^-dl, so its profile argument is
+    (gx/2 - o/4) * 2^dl, rounded once."""
+    gx = _panel_rule(order)[0]
+    dl = np.arange(-1, 2)[:, None, None]
+    o = np.arange(-6, 7)[None, :, None]
+    s = np.exp2(dl)
+    g, g1, g2 = _profile((0.5 * gx - 0.25 * o) * s)
+    prof = (g, g1 * s, g2 * (s * s))
     npan = PANEL_EDGES.size - 1
-    return np.logical_or.reduce(
-        [np.any(g.reshape(*g.shape[:-1], npan, -1) != 0, axis=-1)
-         for g in prof])
+    reach = np.logical_or.reduce(
+        [np.any(t.reshape(3, 13, npan, -1) != 0, axis=-1) for t in prof])
+    return _read_only(*prof, reach)
 
 
 def _active_blocks(differ, xreach, yreach):
@@ -157,77 +180,39 @@ def _active_blocks(differ, xreach, yreach):
     bump of some differing entry is nonzero along both axes.
 
     differ (rows, entries) marks the valid touching entries whose piece
-    differs from the row's; xreach and yreach (rows, entries, npan) are
-    `_panel_reach` of their profiles along x and along y.
+    differs from the row's; xreach and yreach (rows, entries, npan) mark
+    the panels their bumps reach along x and along y.
     """
     hit = np.matmul((differ[:, :, None] & xreach).transpose(0, 2, 1), yreach)
     return np.nonzero(hit)
 
 
-def _hess_power(wd, R, cand, valid, da, db, dc, p: float,
-                order: int) -> np.ndarray:
-    """Integral of |Hessian|^p over each row of R by the tensor panel rule,
-    shape (R.size,), with the bump profiles read from the frame geometry.
+def _reaching_blocks(dl, ox, oy, valid, differ, order: int) -> tuple:
+    """Active panel blocks of rows with the padded touching lists
+    (dl, ox, oy, valid) (`_touching_offsets`), and the entries that reach
+    each one: (row, x-panel, y-panel, entry, on).
 
-    (da, db, dc) are the piece differences (touching square minus R) along
-    the padded touching lists; da and db may both be None, meaning zero (the
-    pieces of lifted leaf data differ only in the vertical slope).  The
-    fields are `_blend_power`'s.
+    A block is active when the bump of a valid entry marked in differ
+    reaches it along both axes (`_active_blocks`).  That skips no nonzero
+    node: the profile is exactly (0, 0, 0) from |u| = 0.55 on, and the
+    panel edges lie on those support edges, so on any other block every
+    difference-weighted blend is a sum of exact zeros, and with it the
+    Hessian.  The panels a bump reaches depend only on its level difference
+    and offset, since every node lies strictly inside its panel, so they
+    are read from `_profile_table` at any depth.  An entry reaches the
+    block when its bump does so along both axes; any other entry's bump is
+    exactly zero on the block along one axis, so it adds exact zeros to
+    every field.  entry (blocks, width) indexes the reaching entries of the
+    block's row in touching-list order, padded to the largest count of
+    them; on marks the ones that are not padding.
     """
-    gx = _panel_rule(order)[0]
-    h = 0.5 * wd.delta[R]
-    xn = wd.cx[R][:, None] + h[:, None] * gx[None, :]
-    yn = wd.cy[R][:, None] + h[:, None] * gx[None, :]
-    d = wd.delta[cand][:, :, None]
-    gu, gu1, gu2 = _profile((xn[:, None, :] - wd.cx[cand][:, :, None]) / d)
-    vm = valid[:, :, None]
-    xprof = (gu * vm, gu1 * vm / d, gu2 * vm / d ** 2)
-    gv, gv1, gv2 = _profile((yn[:, None, :] - wd.cy[cand][:, :, None]) / d)
-    yprof = (gv, gv1 / d, gv2 / d ** 2)
-    return _blend_power(xprof, yprof, xn, yn, h ** 2, valid, da, db, dc, p,
-                        order)
-
-
-def _blend_power(xprof, yprof, xn, yn, area, valid, da, db, dc, p: float,
-                 order: int) -> np.ndarray:
-    """Integral of |Hessian|^p of the blend over each row by the tensor panel
-    rule, shape (rows,), from the 1-d bump profiles at the nodes.
-
-    xprof and yprof are the profile triples (g, g', g''), each of shape
-    (rows, entries, m), of the padded touching lists along the x and y
-    nodes; xprof is zero on the padding.  xn and yn (rows, m) are the node
-    coordinates the piece differences are affine in (xn may be None when da
-    and db are), area (rows,) is each row's area over 4, the Jacobian of the
-    rule on [-1, 1]^2.
-
-    Fields are formed only on the (x-panel, y-panel) blocks of each row that
-    some differing bump reaches along both axes (`_active_blocks`).  That
-    skips no nonzero node: the profile is exactly (0, 0, 0) from |u| = 0.55
-    on, and the panel edges lie on those support edges, so on any other
-    block every difference-weighted blend is a sum of exact zeros, and with
-    it the Hessian.  Only the order of summation differs from integrating
-    every node.  The gathered blocks go through `_block_power`.
-    """
-    gw = _panel_rule(order)[1]
-    npan = PANEL_EDGES.size - 1
-    k = gw.size // npan
-    nr, ne = valid.shape
-    differ = dc != 0
-    if db is not None:
-        differ |= (da != 0) | (db != 0)
-    b, px, py = _active_blocks(differ & valid, _panel_reach(xprof),
-                               _panel_reach(yprof))
-    U, Ux, Uxx = (g.reshape(nr, ne, npan, k)[b, :, px] for g in xprof)
-    V, Vy, Vyy = (g.reshape(nr, ne, npan, k)[b, :, py] for g in yprof)
-    Y = yn.reshape(nr, npan, k)[b, py][:, None, :]
-    X = None
-    if db is not None:
-        X = xn.reshape(nr, npan, k)[b, px][:, :, None]
-        da, db = da[b], db[b]
-    wp = gw.reshape(npan, k)
-    per_block = _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc[b], X, da, db,
-                             wp[px], wp[py], p)
-    return np.bincount(b, weights=per_block * area[b], minlength=nr)
+    reach = _profile_table(order)[3]
+    xr, yr = reach[dl + 1, ox + 6], reach[dl + 1, oy + 6]
+    b, px, py = _active_blocks(valid & differ, xr, yr)
+    near = valid[b] & xr[b, :, px] & yr[b, :, py]
+    width = int(near.sum(axis=1).max(initial=0))
+    e = np.argsort(~near, axis=1, kind="stable")[:, :width]
+    return b, px, py, e, np.take_along_axis(near, e, axis=1)
 
 
 def _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc, X, da, db, wx, wy,
@@ -292,15 +277,47 @@ def _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc, X, da, db, wx, wy,
 def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
                     order: int) -> float:
     """Integral of |Hessian|^p over the given rows (same quantity as the
-    pointwise path)."""
-    co = F.coefs
+    pointwise path).
+
+    The blocks are gathered as for the edge-weight classes: per batch of
+    rows, `_reaching_blocks` with the entries whose piece differs from the
+    row's marked.  The bump profiles differ: here they are evaluated in
+    floats at each block's own nodes in the frame, for its reaching entries
+    only, as the point evaluator does.  Profiles read from `_profile_table`
+    round their arguments in the unit square instead, and that moves the
+    sums of general data off the pointwise path by up to 2.2e-12 relative
+    on a depth-1 tree and 9.3e-11 on a depth-2 one, through the steep bump
+    edges; the edge-weight classes take the table so that a class integral
+    does not depend on depth.  Blocks go through `_block_power` in batches
+    of BLOCK_NODES nodes.
+    """
+    wd, co = F.wd, F.coefs
+    gx, gw = _panel_rule(order)
+    npan = PANEL_EDGES.size - 1
+    k = gx.size // npan
+    gp, wp = gx.reshape(npan, k), gw.reshape(npan, k)
     total = 0.0
-    for R, cand, valid in _row_batches(F.wd, rows, order):
-        da = co[cand, 0] - co[R, 0][:, None]
-        db = co[cand, 1] - co[R, 1][:, None]
-        dc = co[cand, 2] - co[R, 2][:, None]
-        total += float(np.sum(_hess_power(F.wd, R, cand, valid, da, db, dc,
-                                          p, order)))
+    for sl in _batches(rows.size, gx.size ** 2, 2_000_000):
+        R = rows[sl]
+        cand, dl, ox, oy, valid = _touching_offsets(wd, R)
+        differ = np.any(co[cand] != co[R][:, None], axis=2)
+        blocks = _reaching_blocks(dl, ox, oy, valid, differ, order)
+        for bs in _batches(blocks[0].size, k * k, BLOCK_NODES):
+            b, px, py, e, on = (x[bs] for x in blocks)
+            r, c = R[b], cand[b[:, None], e]
+            h = 0.5 * wd.delta[r]
+            xn = wd.cx[r][:, None] + h[:, None] * gp[px]
+            yn = wd.cy[r][:, None] + h[:, None] * gp[py]
+            d = wd.delta[c][:, :, None]
+            gu, gu1, gu2 = _profile((xn[:, None] - wd.cx[c][:, :, None]) / d)
+            gv, gv1, gv2 = _profile((yn[:, None] - wd.cy[c][:, :, None]) / d)
+            m = on[:, :, None]
+            da, db, dc = (co[c, j] - co[r, j][:, None] for j in range(3))
+            per_block = _block_power(gu * m, gu1 * m / d, gu2 * m / d ** 2,
+                                     gv, gv1 / d, gv2 / d ** 2,
+                                     yn[:, None, :], dc, xn[:, :, None], da,
+                                     db, wp[px], wp[py], p)
+            total += float(np.sum(per_block * h ** 2))
     return total
 
 
@@ -383,16 +400,11 @@ def _configurations(wd, lab: np.ndarray, rows: np.ndarray) -> tuple:
     (dl, ox, oy, other, valid, height).
 
     Along the padded touching list: the level difference dl, the centre
-    offsets ox, oy in quarter sides of the row, the other-cluster flag and
-    the padding mask valid; then the row's height 8 * cy / delta.  A unit
-    jump on the row reads nothing else.
+    offsets ox, oy in quarter sides of the row (`_touching_offsets`), the
+    other-cluster flag and the padding mask valid; then the row's height
+    8 * cy / delta.  A unit jump on the row reads nothing else.
     """
-    cand, valid = _touching_lists(wd, rows)
-    s = wd.sidei[rows][:, None]
-    dside = wd.sidei[cand] - s
-    ox = (4 * (wd.x0i[cand] - wd.x0i[rows][:, None]) + 2 * dside) // s
-    oy = (4 * (wd.y0i[cand] - wd.y0i[rows][:, None]) + 2 * dside) // s
-    dl = wd.levels[cand] - wd.levels[rows][:, None]
+    cand, dl, ox, oy, valid = _touching_offsets(wd, rows)
     other = lab[cand] != lab[rows][:, None]
     # 8 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
     # the way up the frame [-3, 5]
@@ -463,43 +475,21 @@ def _configuration_classes(conf: tuple) -> tuple[np.ndarray, np.ndarray]:
                             for sx in (1, -1) for sy in (1, -1)])
 
 
-def _profile_table(gx: np.ndarray) -> tuple:
-    """Bump profiles (g, g', g'') of every square that can touch a unit
-    square centred at 0, at its nodes gx: shape (3, 13, gx.size), indexed
-    [dl + 1, o + 6] by level difference and centre offset o in quarter
-    sides.  The touching square has side 2^-dl, so its profile argument is
-    (gx/2 - o/4) * 2^dl, rounded once."""
-    dl = np.arange(-1, 2)[:, None, None]
-    o = np.arange(-6, 7)[None, :, None]
-    s = np.exp2(dl)
-    g, g1, g2 = _profile((0.5 * gx - 0.25 * o) * s)
-    return g, g1 * s, g2 * (s * s)
-
-
 def _class_blocks(conf: tuple, order: int) -> tuple:
     """Active panel blocks of the unit jump in each configuration of conf,
-    each with the configuration of the touching entries that reach it:
+    each with the configuration of the touching entries that reach it
+    (`_reaching_blocks`, with the other-cluster entries differing):
     (row, x-panel, y-panel, dl, ox, oy, other, on, height).
 
-    A block is active when the bump of an other-cluster entry reaches it
-    along both axes (`_active_blocks`), read from `_panel_reach` of the
-    profile table.  An entry reaches the block when its bump does so along
-    both axes; any other entry's bump is exactly zero on the block along
-    one axis, so it adds exact zeros to every field.  (dl, ox, oy, other)
-    (blocks, width) list the reaching entries in touching-list order,
-    padded to the largest count of them; on marks the ones that are not
-    padding, and height is the row's.
+    (dl, ox, oy, other) (blocks, width) list the reaching entries in
+    touching-list order, padded to the largest count of them; on marks the
+    ones that are not padding, and height is the row's.
     """
     dl, ox, oy, other, valid, height = conf
-    reach = _panel_reach(_profile_table(_panel_rule(order)[0]))
-    xr, yr = reach[dl + 1, ox + 6], reach[dl + 1, oy + 6]
-    b, px, py = _active_blocks(valid & other, xr, yr)
-    near = valid[b] & xr[b, :, px] & yr[b, :, py]
-    width = int(near.sum(axis=1).max(initial=0))
-    e = np.argsort(~near, axis=1, kind="stable")[:, :width]
+    b, px, py, e, on = _reaching_blocks(dl, ox, oy, valid, other, order)
     r = b[:, None]
-    return (b, px, py, dl[r, e], ox[r, e], oy[r, e], other[r, e],
-            np.take_along_axis(near, e, axis=1), height[b])
+    return (b, px, py, dl[r, e], ox[r, e], oy[r, e], other[r, e], on,
+            height[b])
 
 
 def _block_classes(blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -531,7 +521,7 @@ def _blocks_power(blocks: tuple, p: float, order: int) -> np.ndarray:
     gx, gw = _panel_rule(order)
     npan = PANEL_EDGES.size - 1
     k = gx.size // npan
-    table = [t.reshape(3, 13, npan, k) for t in _profile_table(gx)]
+    table = [t.reshape(3, 13, npan, k) for t in _profile_table(order)[:3]]
     wp = gw.reshape(npan, k)
     out = []
     for sl in _batches(blocks[0].size, k * k, BLOCK_NODES):

@@ -226,11 +226,21 @@ class PatchedInterpolant:
 def _differing_pairs(F: PatchedInterpolant) -> tuple[np.ndarray, np.ndarray]:
     """Touching pairs (s, t), s < t, whose pieces differ.  Touching is
     symmetric and a self pair never differs, so each unordered pair is
-    compared once."""
+    compared once.  Blend rows hold both squares of every differing pair,
+    so when F has them only their touching lists are scanned."""
     wd = F.wd
-    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
-    once = src < wd.neighbors
-    src, dst = src[once], wd.neighbors[once]
+    ip = wd.neighbors_indptr
+    if F.blend is None:
+        src, dst = np.repeat(np.arange(wd.n), np.diff(ip)), wd.neighbors
+    else:
+        rows = np.flatnonzero(F.blend)
+        cnt = ip[rows + 1] - ip[rows]
+        src = np.repeat(rows, cnt)
+        # each entry's place in wd.neighbors: its row's start plus its rank
+        at = np.repeat(ip[rows] - np.cumsum(cnt) + cnt, cnt)
+        dst = wd.neighbors[at + np.arange(src.size)]
+    once = src < dst
+    src, dst = src[once], dst[once]
     differ = np.zeros(src.size, dtype=bool)
     for col in np.ascontiguousarray(F.coefs.T):   # 1-D gathers beat row gathers
         differ |= col[src] != col[dst]

@@ -7,11 +7,10 @@ from treeplane.whitney import decompose
 from treeplane.clusters import build_clusters
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
-                                _hess_power, _hess_power_sum,
-                                _hess_power_sum_pointwise, _panel_rule,
-                                _touching_lists, ball_average,
-                                ball_estimate_sums, disk_rule, disk_seminorm,
-                                patching_constant, planar_seminorm)
+                                _hess_power_sum, _hess_power_sum_pointwise,
+                                _panel_rule, ball_average, ball_estimate_sums,
+                                disk_rule, disk_seminorm, patching_constant,
+                                planar_seminorm)
 from treeplane.operators import PlanarData, planar_extend
 from treeplane.suite import canonical, instance_geometry
 from treeplane.tree_core import LeafFunction
@@ -96,8 +95,12 @@ def test_panel_count_grows_with_order():
     assert n24.size == 2 * n12.size
 
 
-def test_fast_and_pointwise_power_sums_agree(small):
-    tree, ps, wd = small
+@pytest.mark.parametrize("name", ["small", "n2d2-loose"])
+def test_fast_and_pointwise_power_sums_agree(name, small):
+    """General pieces (all of a, b, c differ) on squares from the top of
+    the frame down to the deepest levels of a depth-2 instance, and pieces
+    that differ in a and b only."""
+    wd = small[2] if name == "small" else instance_geometry(canonical(name))[2]
     F = perturbed(wd, seed=3)
     rows = _active_rows(F)
     assert rows.size > 0
@@ -105,6 +108,12 @@ def test_fast_and_pointwise_power_sums_agree(small):
         a = _hess_power_sum_pointwise(F, rows, p, 8)
         b = _hess_power_sum(F, rows, p, 8)
         assert b == pytest.approx(a, rel=1e-12)
+    coefs = F.coefs.copy()
+    coefs[:, 2] = F.tail.c
+    G = PatchedInterpolant(wd, coefs, F.tail)
+    a = _hess_power_sum_pointwise(G, rows, 1.5, 8)
+    assert a > 0.0
+    assert _hess_power_sum(G, rows, 1.5, 8) == pytest.approx(a, rel=1e-12)
 
 
 def test_power_sum_matches_midpoint_grid_per_square(small):
@@ -172,9 +181,9 @@ def test_skipped_blocks_have_zero_hessian(field, small, lifted, monkeypatch):
 
 
 def test_lifted_kernel_matches_pointwise_per_row(lifted):
-    """With da = db = None (pieces differing only in the vertical slope) the
-    kernel's per-row integrals match the pointwise path, on squares that
-    touch exactly one other cluster."""
+    """On lifted data (pieces differing only in the vertical slope) the
+    block kernel's integral over each single row matches the pointwise path,
+    on squares that touch exactly one other cluster."""
     ct, F = lifted
     wd, lab = F.wd, ct.square_cluster
     ip, nb = wd.neighbors_indptr, wd.neighbors
@@ -183,9 +192,7 @@ def test_lifted_kernel_matches_pointwise_per_row(lifted):
     R = np.sort(np.random.default_rng(8).choice(single, size=4,
                                                 replace=False))
     assert np.all(F.coefs[:, :2] == 0.0)
-    cand, valid = _touching_lists(wd, R)
-    dc = F.coefs[cand, 2] - F.coefs[R, 2][:, None]
-    got = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, 12)
+    got = np.array([_hess_power_sum(F, np.array([r]), 1.5, 12) for r in R])
     want = [_hess_power_sum_pointwise(F, np.array([r]), 1.5, 12) for r in R]
     assert np.all(got > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

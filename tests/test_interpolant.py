@@ -321,6 +321,18 @@ def test_differing_rows_are_blend_rows(name):
     assert np.all(F.blend[s]) and np.all(F.blend[t])
 
 
+@pytest.mark.parametrize("name", BLEND_GEOMETRIES)
+def test_blend_row_scan_finds_every_differing_pair(name):
+    """Scanning only the blend rows' touching lists gives the pairs of the
+    scan over every touching list, in the same order."""
+    tree, ps, wd, ct = blend_geometry(name)
+    F = lifted_extension(tree, ps, wd, ct, seed=5)
+    full = PatchedInterpolant(wd, F.coefs, F.tail)
+    got, want = _differing_pairs(F), _differing_pairs(full)
+    assert want[0].size > 0
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def assert_same_as_blending_everywhere(F, pts):
     full = PatchedInterpolant(F.wd, F.coefs, F.tail)
     inside = ((pts[:, 0] >= Q0_LO) & (pts[:, 0] < Q0_HI) &

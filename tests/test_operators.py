@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from treeplane import operators
-from treeplane.analysis import (_block_classes, _blend_power,
-                                _blocks_power, _class_blocks, _class_power,
-                                _configuration_classes, _configurations,
-                                _hess_power, _mirror, _panel_rule,
-                                _profile_table, _row_batches,
-                                _touching_lists, edge_weights,
+from treeplane.analysis import (PANEL_EDGES, _active_blocks, _block_classes,
+                                _block_power, _blocks_power, _class_blocks,
+                                _class_power, _configuration_classes,
+                                _configurations, _hess_power_sum, _mirror,
+                                _panel_rule, _profile_table, edge_weights,
                                 planar_seminorm)
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
-from treeplane.interpolant import AffinePolynomial
+from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.operators import (PlanarData, _interpolant, _tree_backend,
                                  leaf_slopes, norm_ratio_experiment,
                                  planar_extend, tree_extend_from_planar,
@@ -293,6 +292,19 @@ def _single_other_rows(wd, lab):
     return np.array(rows), pairs
 
 
+def _unit_jumps(wd, lab, clusters):
+    """For each cluster c, the interpolant whose piece is (0, 0, 1) on c and
+    0 elsewhere: on a square touching one other cluster, with c one of the
+    two, its Hessian is the unit jump's up to sign."""
+    out = {}
+    for c in set(clusters):
+        coefs = np.zeros((wd.n, 3))
+        coefs[lab == c, 2] = 1.0
+        tail = AffinePolynomial(*coefs[np.flatnonzero(wd.boundary)[0]])
+        out[c] = PatchedInterpolant(wd, coefs, tail)
+    return out
+
+
 @pytest.mark.parametrize("name", ["tri", "n2d1-tight", "n3d1-loose",
                                   "n2d2-loose", "n3d2-loose"])
 def test_edge_weight_classes_match_per_row(name, tri):
@@ -310,15 +322,11 @@ def test_edge_weight_classes_match_per_row(name, tri):
     index = {pq: i for i, pq in enumerate(map(tuple, ew.pairs.tolist()))}
     assert set(pairs) == set(index)
     pair_of_row = np.array([index[pq] for pq in pairs])
+    jumps = _unit_jumps(wd, lab, [b for _, b in index])
     for order, got in ((ew.quad_order, ew.M_coarse),
                        (2 * ew.quad_order, ew.M_fine)):
-        per_row = []
-        for R, cand, valid in _row_batches(wd, rows, order):
-            dc = (lab[cand] != lab[R][:, None]).astype(float)
-            per_row.append(_hess_power(wd, R, cand, valid, None, None, dc,
-                                       1.5, order))
-        want = np.bincount(pair_of_row, weights=np.concatenate(per_row),
-                           minlength=len(index))
+        want = [_hess_power_sum(jumps[b], rows[pair_of_row == i], 1.5, order)
+                for (_, b), i in index.items()]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -328,7 +336,7 @@ def test_class_keys_fold_both_mirrors():
     integral is its first square's own integral up to delta^(2 - p)."""
     tree, ps, wd, ct = instance_geometry(canonical("n2d2-loose"))
     lab = ct.square_cluster.astype(np.int64)
-    rows, _ = _single_other_rows(wd, lab)
+    rows, pairs = _single_other_rows(wd, lab)
     conf = _configurations(wd, lab, rows)
     first, _ = _configuration_classes(conf)
     reps = tuple(c[first] for c in conf)
@@ -343,9 +351,9 @@ def test_class_keys_fold_both_mirrors():
         for g in got[1:]:
             np.testing.assert_allclose(g, got[0], rtol=1e-13, atol=0.0)
     R = rows[first]
-    cand, valid = _touching_lists(wd, R)
-    dc = (lab[cand] != lab[R][:, None]).astype(float)
-    own = _hess_power(wd, R, cand, valid, None, None, dc, 1.5, 12)
+    jumps = _unit_jumps(wd, lab, [pairs[i][1] for i in first])
+    own = np.array([_hess_power_sum(jumps[pairs[i][1]], rows[i:i + 1], 1.5, 12)
+                    for i in first])
     np.testing.assert_allclose(_class_power(reps, 1.5, 12)[0],
                                own / wd.delta[R] ** 0.5, rtol=1e-10, atol=0.0)
 
@@ -364,16 +372,25 @@ def test_block_classes_match_blocks(name):
     images = tuple(np.concatenate(parts) for parts in zip(
         *[_mirror(reps, sx, sy) for sx in (1, -1) for sy in (1, -1)]))
     dl, ox, oy, other, valid, height = reps
+    npan = PANEL_EDGES.size - 1
     for order in (12, 24):
-        gx = _panel_rule(order)[0]
-        table = _profile_table(gx)
-        vm = valid[:, :, None]
-        xprof = tuple(t[dl + 1, ox + 6] * vm for t in table)
-        yprof = tuple(t[dl + 1, oy + 6] for t in table)
-        yn = height[:, None] / 8.0 + 0.5 * gx[None, :]
-        want = _blend_power(xprof, yprof, None, yn,
-                            np.full(first.size, 0.25), valid, None, None,
-                            other.astype(float), 1.5, order)
+        gx, gw = _panel_rule(order)
+        k = gx.size // npan
+        *table, reach = _profile_table(order)
+        table = [t.reshape(3, 13, npan, k) for t in table]
+        # every valid entry of the padded touching list on every active block
+        b, px, py = _active_blocks(valid & other, reach[dl + 1, ox + 6],
+                                   reach[dl + 1, oy + 6])
+        i, qx, qy = dl[b] + 1, px[:, None], py[:, None]
+        U, Ux, Uxx = (t[i, ox[b] + 6, qx] * valid[b][:, :, None]
+                      for t in table)
+        V, Vy, Vyy = (t[i, oy[b] + 6, qy] for t in table)
+        Y = height[b][:, None] / 8.0 + 0.5 * gx.reshape(npan, k)[py]
+        wp = gw.reshape(npan, k)
+        each = _block_power(U, Ux, Uxx, V, Vy, Vyy, Y[:, None, :],
+                            other[b].astype(float), None, None, None, wp[px],
+                            wp[py], 1.5)
+        want = 0.25 * np.bincount(b, weights=each, minlength=first.size)
         got, n_blocks = _class_power(reps, 1.5, order)
         assert np.all(got > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
