@@ -313,10 +313,13 @@ def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
             gv, gv1, gv2 = _profile((yn[:, None] - wd.cy[c][:, :, None]) / d)
             m = on[:, :, None]
             da, db, dc = (co[c, j] - co[r, j][:, None] for j in range(3))
+            X = xn[:, :, None]
+            if not (da.any() or db.any()):
+                da = db = X = None    # lifted data: only c differs
             per_block = _block_power(gu * m, gu1 * m / d, gu2 * m / d ** 2,
                                      gv, gv1 / d, gv2 / d ** 2,
-                                     yn[:, None, :], dc, xn[:, :, None], da,
-                                     db, wp[px], wp[py], p)
+                                     yn[:, None, :], dc, X, da, db,
+                                     wp[px], wp[py], p)
             total += float(np.sum(per_block * h ** 2))
     return total
 

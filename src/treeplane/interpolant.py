@@ -159,20 +159,29 @@ class PatchedInterpolant:
             out = np.zeros((m, 2, 2))
         else:
             raise ValueError("order must be 0, 1 or 2")
-        at = np.flatnonzero(inside)
-        A = self.coefs
-        if self.blend is not None and at.size:
-            home = self.wd.locate(pts[at])
-            one = ~self.blend[home]
-            q = home[one]
-            if order == 0:
-                x = pts[at[one]]
-                out[at[one]] = A[q, 0] + A[q, 1] * x[:, 0] + A[q, 2] * x[:, 1]
-            elif order == 1:
-                out[at[one]] = A[q, 1:]
-            at = at[~one]     # order 2: one piece's Hessian is the zeros above
-        if not at.size:
+        if not inside.any():
             return out[0] if single else out
+        A = self.coefs
+        # a batch wholly inside the frame is located as it is, not copied
+        at = None if inside.all() else np.flatnonzero(inside)
+        if self.blend is not None:
+            # every point takes its home square's piece; those homed on a
+            # blend row are overwritten by the blend below
+            xin = pts if at is None else pts[at]
+            home = self.wd.locate(xin)
+            P = np.take(A, home, axis=0)
+            put = slice(None) if at is None else at
+            if order == 0:
+                out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
+            elif order == 1:
+                out[put] = P[:, 1:]
+            # order 2: one piece's Hessian is the zeros above
+            mix = np.flatnonzero(self.blend[home])
+            at = mix if at is None else at[mix]
+            if not at.size:
+                return out[0] if single else out
+        elif at is None:
+            at = np.arange(m)
         xin = pts[at]
         indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin)
         ref = sq[indptr[:-1]]      # every point has at least one active square

@@ -18,12 +18,15 @@ one over horizontal face lines finds the remaining face contacts, so each
 touching pair is found exactly once.  That it coincides with "1.1-dilates
 intersect" is rechecked against a brute-force oracle on small instances.
 
-Point lookups do work only where squares overlap.  `locate` searches the
-Morton codes of a batch in sorted order.  A touching square is at most twice
-as large, so its 1.1-dilate reaches at most 0.1 * delta into a square: a
-point more than that inside its containing square has that square as its
-only active one, with theta = 1 and vanishing derivatives, and skips both
-the touching-list scan and the psi algebra.
+Point lookups do work only where squares overlap.  `locate` reads the
+containing square of most points from a table over the dyadic cells of one
+coarse level, at most four cells per square; only points in a cell that
+finer squares split fall back to a search of the sorted Morton codes.  A
+touching square is at most twice as large, so its 1.1-dilate reaches at
+most 0.1 * delta into a square: a point more than that inside its
+containing square has that square as its only active one, with theta = 1
+and vanishing derivatives, and skips both the touching-list scan and the
+psi algebra.
 """
 
 from __future__ import annotations
@@ -168,7 +171,9 @@ class WhitneyDecomposition:
     e2_witness (E2 row, Type II); boundary marks squares touching the frame.
     neighbors_indptr/neighbors gives the touching lists (self included).
     Base points kz/kw are grid indices into E1 (the points k * ps.delta on
-    the axis), chosen per square type.
+    the axis), chosen per square type.  cells (`_cell_table`) holds, for
+    each dyadic cell of level cell_level in Morton order, the row of the
+    square containing it, or -1 where finer squares split it.
     """
 
     def __init__(self, ps: PlanarSet | None, levels, ixs, iys):
@@ -206,6 +211,13 @@ class WhitneyDecomposition:
             self.x0i, self.y0i, self.sidei)
         self.kz = np.full(self.n, -1, dtype=np.int64)
         self.kw = np.full(self.n, -1, dtype=np.int64)
+        # at most 4 cells per square: 4^cell_level <= 4n
+        self.cell_level = min(self.max_level,
+                              ((4 * self.n).bit_length() - 1) // 2)
+        self.cells = _cell_table(self.levels, self.ixs, self.iys,
+                                 self.cell_level)
+        self._cell_spread = _spread_bits(
+            np.arange(1 << self.cell_level)).astype(np.int32)
 
     # -- lookups ---------------------------------------------------------
 
@@ -227,9 +239,12 @@ class WhitneyDecomposition:
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Row of the square containing each point (points must lie in Q0).
 
-        The Morton codes are looked up in sorted order and the rows scattered
-        back: a sorted query walks `morton_starts` in one direction, which
-        costs far less than a random-order binary search on large batches.
+        The finest-level grid coordinates, shifted down to the cell level,
+        index the cell table; a point in a cell of a square of level at most
+        cell_level reads its row there.  The rest (cells that finer squares
+        split) have their Morton codes looked up in sorted order and the
+        rows scattered back: a sorted query walks `morton_starts` in one
+        direction, which costs far less than a random-order binary search.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         L = self.max_level
@@ -238,11 +253,15 @@ class WhitneyDecomposition:
                      0, (1 << L) - 1)
         cy = np.clip(((pts[:, 1] - Q0_LO) * scale).astype(np.int64),
                      0, (1 << L) - 1)
-        codes = _morton(cx, cy)
+        s = L - self.cell_level
+        spread = self._cell_spread
+        cell = spread.take(cx >> s) | (spread.take(cy >> s) << 1)
+        rows = self.cells.take(cell).astype(np.int64)
+        split = np.flatnonzero(rows < 0)
+        codes = _morton(cx[split], cy[split])
         order = np.argsort(codes)
-        rows = np.empty(codes.shape[0], dtype=np.int64)
-        rows[order] = np.searchsorted(self.morton_starts, codes[order],
-                                      side="right") - 1
+        rows[split[order]] = np.searchsorted(self.morton_starts, codes[order],
+                                             side="right") - 1
         return rows
 
     def __len__(self) -> int:
@@ -253,6 +272,21 @@ def _morton_padded(levels, ixs, iys, max_level=None) -> np.ndarray:
     L = int(levels.max()) if max_level is None else max_level
     shift = L - levels.astype(np.int64)
     return _morton(ixs.astype(np.int64) << shift, iys.astype(np.int64) << shift)
+
+
+def _cell_table(levels, ixs, iys, cell_level: int) -> np.ndarray:
+    """int32 row of the square containing each dyadic cell of level
+    cell_level, in Morton order, or -1 where squares of finer levels split
+    the cell.  Squares of one level lv <= cell_level each cover one block of
+    4^(cell_level - lv) consecutive cells, a row of the table viewed as
+    (4^lv, 4^(cell_level - lv)), so each level is one broadcast write."""
+    cells = np.full(1 << (2 * cell_level), -1, dtype=np.int32)
+    for lv in range(cell_level + 1):
+        rows = np.flatnonzero(levels == lv)
+        if rows.size:
+            cells.reshape(1 << (2 * lv), -1)[_morton(ixs[rows], iys[rows])] = \
+                rows[:, None]
+    return cells
 
 
 def _touching_graph(x0, y0, side):
@@ -636,13 +670,18 @@ def verify_cz(wd: WhitneyDecomposition) -> dict:
     ps = wd.ps
     n1, n2, _, _ = _count_in_dilates(ps, wd.cx, wd.cy, wd.delta, 1.1)
     small = bool(np.all(n1 + n2 <= 1))
-    plv = wd.levels - 1
-    pdelta = wd.delta * 2.0
-    pcx = Q0_LO + ((wd.ixs >> 1) + 0.5) * pdelta
-    pcy = Q0_LO + ((wd.iys >> 1) + 0.5) * pdelta
+    # siblings are adjacent in Morton order: count one parent per run of
+    # squares with the same level and parent square
+    px, py = wd.ixs >> 1, wd.iys >> 1
+    first = np.ones(wd.n, dtype=bool)
+    first[1:] = ((wd.levels[1:] != wd.levels[:-1]) | (px[1:] != px[:-1]) |
+                 (py[1:] != py[:-1]))
+    rep = np.flatnonzero(first & (wd.levels > 0))
+    pdelta = wd.delta[rep] * 2.0
+    pcx = Q0_LO + (px[rep] + 0.5) * pdelta
+    pcy = Q0_LO + (py[rep] + 0.5) * pdelta
     p1, p2, _, _ = _count_in_dilates(ps, pcx, pcy, pdelta, 3.0)
-    has_parent = plv >= 0
-    parent_big = bool(np.all((p1 + p2)[has_parent] >= 2))
+    parent_big = bool(np.all(p1 + p2 >= 2))
     counts = np.diff(wd.neighbors_indptr)
     src = np.repeat(np.arange(wd.n), counts)
     dst = wd.neighbors

@@ -345,9 +345,20 @@ def assert_same_as_blending_everywhere(F, pts):
 
 @pytest.mark.parametrize("name", ["tri", "n2d2-loose"])
 def test_lifted_evaluate_matches_blending_every_row(name):
+    """On a batch reaching outside Q0 (whose inside points are gathered)
+    and on its inside points alone (a batch used as it is)."""
     tree, ps, wd, ct = blend_geometry(name)
     F = lifted_extension(tree, ps, wd, ct, seed=6)
-    assert_same_as_blending_everywhere(F, blend_probe_points(tree, ps, ct, 7))
+    pts = blend_probe_points(tree, ps, ct, 7)
+    # interleave the outside points, so gathered and batch places differ
+    pts = pts[np.random.default_rng(7).permutation(pts.shape[0])]
+    assert_same_as_blending_everywhere(F, pts)
+    full = PatchedInterpolant(wd, F.coefs, F.tail)
+    inside = F._inside(pts)
+    for order in (0, 1, 2):
+        got = F.evaluate(pts[inside], order)
+        assert np.array_equal(got, full.evaluate(pts[inside], order))
+        assert np.array_equal(got, F.evaluate(pts, order)[inside])
 
 
 @pytest.mark.parametrize("name", ["tri", "n2d2-loose"])

@@ -3,12 +3,14 @@ import pytest
 
 from treeplane import WeightedTree, random_tree
 from treeplane.embedding import build_planar_set
-from treeplane.whitney import (DyadicSquare, TYPE_I, TYPE_II, TYPE_III,
+from treeplane.suite import canonical, instance_geometry
+from treeplane.whitney import (DyadicSquare, Q0_HI, Q0_LO, Q0_SIDE,
+                               TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
                                basepoints, classify, decompose,
                                decompose_naive, e2_anchor_indices, neighbors,
                                neighbors_naive, pou_eval, pou_table,
-                               _psi_terms,
+                               _morton, _psi_terms,
                                verify_basepoints, verify_boundary, verify_cz,
                                verify_dist_bd, verify_partition)
 
@@ -443,3 +445,117 @@ def test_locate_independent_of_batch_order(medium):
     h = 0.5 * wd.delta[rows]
     assert np.all(np.abs(pts[:, 0] - wd.cx[rows]) <= h)
     assert np.all(np.abs(pts[:, 1] - wd.cy[rows]) <= h)
+
+
+# -- cell table ------------------------------------------------------------------
+
+def _grid_coords(wd, pts):
+    """Finest-level grid coordinates of points of Q0."""
+    L = wd.max_level
+    return [np.clip(np.floor((pts[:, k] - Q0_LO) * 2.0 ** L / Q0_SIDE),
+                    0, 2 ** L - 1).astype(np.int64) for k in (0, 1)]
+
+
+def _locate_oracle(wd, pts):
+    gx, gy = _grid_coords(wd, pts)
+    return np.searchsorted(wd.morton_starts, _morton(gx, gy), "right") - 1
+
+
+def _locate_probes(wd, n_squares=4000, n_lines=64, seed=23):
+    """Points on coarse-cell edges and corners (and just below them), on the
+    faces and corners of squares, at Q0_LO and just below Q0_HI, and
+    uniform over Q0."""
+    rng = np.random.default_rng(seed)
+    below = np.nextafter(Q0_HI, -np.inf)
+    k = 1 << wd.cell_level
+    lines = Q0_LO + np.arange(k) * (Q0_SIDE / k)
+    lines = rng.choice(lines, min(n_lines, k), replace=False)
+    lines = np.concatenate([lines, np.nextafter(lines, -np.inf),
+                            [Q0_LO, below]])
+    lines = lines[(lines >= Q0_LO) & (lines < Q0_HI)]
+    lx, ly = np.meshgrid(lines, lines, indexing="ij")
+    free = rng.uniform(Q0_LO, Q0_HI, lines.size)
+    rows = rng.choice(wd.n, min(n_squares, wd.n), replace=False)
+    h = 0.5 * wd.delta[rows]
+    sq = []
+    for ox in (-1.0, 0.0, 1.0):
+        for oy in (-1.0, 0.0, 1.0):
+            sq.append(np.column_stack([wd.cx[rows] + ox * h,
+                                       wd.cy[rows] + oy * h]))
+    pts = np.vstack([np.column_stack([lx.ravel(), ly.ravel()]),
+                     np.column_stack([lines, free]),
+                     np.column_stack([free, lines]),
+                     *sq, np.nextafter(sq[-1], -np.inf),
+                     rng.uniform(Q0_LO, Q0_HI, (5000, 2))])
+    return np.minimum(np.maximum(pts, Q0_LO), below)
+
+
+def _assert_cell_table(wd):
+    """int32, at most 4 cells per square, and each cell holds the row whose
+    square covers it, or -1 where no square covers it whole."""
+    L0, s = wd.cell_level, wd.max_level - wd.cell_level
+    assert wd.cells.dtype == np.int32
+    assert 0 <= L0 <= wd.max_level
+    assert wd.cells.size == 4 ** L0 <= 4 * wd.n
+    ii, jj = np.meshgrid(np.arange(1 << L0), np.arange(1 << L0),
+                         indexing="ij")
+    ix, iy = ii.ravel() << s, jj.ravel() << s
+    row = np.searchsorted(wd.morton_starts, _morton(ix, iy), "right") - 1
+    side = 1 << s
+    covers = ((wd.x0i[row] <= ix) & (ix + side <= wd.x0i[row] + wd.sidei[row])
+              & (wd.y0i[row] <= iy) &
+              (iy + side <= wd.y0i[row] + wd.sidei[row]))
+    got = wd.cells[_morton(ii.ravel(), jj.ravel())]
+    assert np.array_equal(got, np.where(covers, row, -1))
+    return covers
+
+
+def _assert_locate_matches_oracle(wd, pts):
+    rows = wd.locate(pts)
+    assert np.array_equal(rows, _locate_oracle(wd, pts))
+    # containment up to the rounding of the grid conversion at faces
+    h = 0.5 * wd.delta[rows] + 1e-14
+    assert np.all(np.abs(pts[:, 0] - wd.cx[rows]) <= h)
+    assert np.all(np.abs(pts[:, 1] - wd.cy[rows]) <= h)
+    # the share of points whose cell finer squares split
+    gx, gy = _grid_coords(wd, pts)
+    s = wd.max_level - wd.cell_level
+    return np.mean(wd.cells[_morton(gx >> s, gy >> s)] < 0)
+
+
+def test_locate_matches_search_on_registry_instance():
+    wd = instance_geometry(canonical("n2d2-loose"))[2]
+    covers = _assert_cell_table(wd)
+    assert covers.mean() > 0.99
+    split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
+    assert 0.0 < split < 1.0
+
+
+def test_locate_matches_search_on_medium(medium):
+    _, wd = medium
+    _assert_cell_table(wd)
+    split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
+    assert 0.0 < split < 1.0
+
+
+@pytest.mark.parametrize("top", [20, 31])
+def test_locate_matches_search_on_staircase(top):
+    """Few squares give a coarse cell level, so the probes of the deep
+    corner squares fall back to the Morton search."""
+    levels, ixs, iys = staircase(top)
+    wd = WhitneyDecomposition(None, np.array(levels), np.array(ixs),
+                              np.array(iys))
+    assert wd.cell_level < 6
+    _assert_cell_table(wd)
+    split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
+    assert 0.0 < split < 1.0
+
+
+def test_locate_when_cells_are_the_squares():
+    """A uniform grid has fewer levels than 4n allows: the cell level is
+    the square level and every point reads its row from the table."""
+    wd = uniform_grid(3)
+    assert wd.cell_level == wd.max_level == 3
+    assert np.all(_assert_cell_table(wd))
+    assert np.array_equal(wd.cells[_morton(wd.ixs, wd.iys)], np.arange(wd.n))
+    assert _assert_locate_matches_oracle(wd, _locate_probes(wd)) == 0.0
