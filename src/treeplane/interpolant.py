@@ -164,6 +164,7 @@ class PatchedInterpolant:
         A = self.coefs
         # a batch wholly inside the frame is located as it is, not copied
         at = None if inside.all() else np.flatnonzero(inside)
+        home = None
         if self.blend is not None:
             # every point takes its home square's piece; those homed on a
             # blend row are overwritten by the blend below
@@ -178,12 +179,13 @@ class PatchedInterpolant:
             # order 2: one piece's Hessian is the zeros above
             mix = np.flatnonzero(self.blend[home])
             at = mix if at is None else at[mix]
+            home = home[mix]
             if not at.size:
                 return out[0] if single else out
         elif at is None:
             at = np.arange(m)
         xin = pts[at]
-        indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin)
+        indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin, home)
         ref = sq[indptr[:-1]]      # every point has at least one active square
         k = np.diff(indptr)
         pt = np.repeat(np.arange(xin.shape[0]), k)

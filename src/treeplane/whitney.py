@@ -18,6 +18,12 @@ one over horizontal face lines finds the remaining face contacts, so each
 touching pair is found exactly once.  That it coincides with "1.1-dilates
 intersect" is rechecked against a brute-force oracle on small instances.
 
+E is never scanned whole.  E1 is counted by arithmetic on its grid.  E2 is
+sorted by x (psi increases along the leaves), so two `searchsorted` calls
+give each square the contiguous run of E2 points inside its x-window, and
+only those pairs meet the float predicates; counts, witnesses and distances
+are those of a dense square-by-point scan.
+
 Point lookups do work only where squares overlap.  `locate` reads the
 containing square of most points from a table over the dyadic cells of one
 coarse level, at most four cells per square; only points in a cell that
@@ -134,8 +140,39 @@ def _e1_count_interval(ps: PlanarSet, lo: np.ndarray, hi: np.ndarray):
     return count, k0
 
 
+def _e2_sorted(ps: PlanarSet) -> tuple[np.ndarray, np.ndarray]:
+    """E2 x and y columns, refusing an E2 not sorted by x: the window
+    queries below take contiguous runs of rows.  psi increases along the
+    sorted leaves, so `build_planar_set` always yields sorted rows
+    (`verify_lemma_psi` reports the order)."""
+    ex, ey = ps.e2[:, 0], ps.e2[:, 1]
+    if not np.all(ex[1:] >= ex[:-1]):
+        raise ValueError("E2 rows must be sorted by x for the window queries")
+    return ex, ey
+
+
+def _e2_candidates(ex: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(query, E2 row) pairs with lo <= x <= hi, grouped by query and
+    ascending in row.  Each window is widened by 1e-9 of |lo| + |hi|, far
+    above the rounding of any float predicate the callers then apply to the
+    candidates, so the pairs are a superset and the answers stay exact."""
+    pad = 1e-9 * (np.abs(lo) + np.abs(hi))
+    a = np.searchsorted(ex, lo - pad, side="left")
+    cnt = np.searchsorted(ex, hi + pad, side="right") - a
+    # most windows are empty: expand only the others
+    q = np.flatnonzero(cnt)
+    a, cnt = a[q], cnt[q]
+    i = np.repeat(q, cnt)
+    j = np.repeat(a - np.cumsum(cnt) + cnt, cnt) + np.arange(i.size)
+    return i, j
+
+
 def _count_in_dilates(ps: PlanarSet, cx, cy, delta, r, chunk=200_000):
-    """#(rQ cap E1), #(rQ cap E2) and the E2 witness row for square batches."""
+    """#(rQ cap E1), #(rQ cap E2) and the E2 witness row for square batches.
+
+    E1 is counted by grid arithmetic; E2 is tested only inside each square's
+    x-window, with the same predicate as a dense square-by-point mask, and
+    the witness is the lowest row hit, as `argmax` over that mask gives."""
     n = cx.shape[0]
     tol = REL_TOL * delta
     h = 0.5 * r * delta + tol
@@ -149,15 +186,17 @@ def _count_in_dilates(ps: PlanarSet, cx, cy, delta, r, chunk=200_000):
         e1_first[hit_y] = first
     n2 = np.zeros(n, dtype=np.int64)
     e2_first = np.full(n, -1, dtype=np.int64)
-    ex, ey = ps.e2[:, 0], ps.e2[:, 1]
+    ex, ey = _e2_sorted(ps)
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        hs = h[s:e, None]
-        mask = (np.abs(ex[None, :] - cx[s:e, None]) <= hs) & \
-               (np.abs(ey[None, :] - cy[s:e, None]) <= hs)
-        n2[s:e] = mask.sum(axis=1)
-        any_row = mask.any(axis=1)
-        e2_first[s:e][any_row] = np.argmax(mask[any_row], axis=1)
+        bx, by, bh = cx[s:e], cy[s:e], h[s:e]
+        i, j = _e2_candidates(ex, bx - bh, bx + bh)
+        hit = (np.abs(ex[j] - bx[i]) <= bh[i]) & (np.abs(ey[j] - by[i]) <= bh[i])
+        i, j = i[hit], j[hit]
+        n2[s:e] = np.bincount(i, minlength=e - s)
+        # rows ascend within a square: its first pair is the lowest row hit
+        hit_sq, first = np.unique(i, return_index=True)
+        e2_first[s + hit_sq] = j[first]
     return n1, n2, e1_first, e2_first
 
 
@@ -184,7 +223,11 @@ class WhitneyDecomposition:
                 f"square level {self.max_level} exceeds the Morton key limit "
                 f"{MORTON_MAX_LEVEL}")
         self.ps = ps
-        order = np.argsort(_morton_padded(levels, ixs, iys), kind="stable")
+        # the sort key, sorted, is morton_starts; rebinding frees the
+        # unsorted copy before the touching graph takes its peak
+        self.morton_starts = _morton_padded(levels, ixs, iys)
+        order = np.argsort(self.morton_starts, kind="stable")
+        self.morton_starts = self.morton_starts[order]
         self.levels = levels[order].astype(np.int32)
         self.ixs = ixs[order].astype(np.int64)
         self.iys = iys[order].astype(np.int64)
@@ -192,7 +235,6 @@ class WhitneyDecomposition:
         self.delta = Q0_SIDE * np.exp2(-self.levels.astype(np.float64))
         self.cx = Q0_LO + (self.ixs + 0.5) * self.delta
         self.cy = Q0_LO + (self.iys + 0.5) * self.delta
-        self.morton_starts = _morton_padded(self.levels, self.ixs, self.iys)
         # int64 arithmetic: the shift reaches 2 * max_level bits on deep grids
         span = np.int64(1) << (2 * (self.max_level -
                                     self.levels.astype(np.int64)))
@@ -335,8 +377,9 @@ def decompose(ps: PlanarSet, cap: int = SQUARE_CAP) -> WhitneyDecomposition:
     """Whitney decomposition of Q0 relative to E, with types and basepoints.
 
     Splits while the closed 3-dilate contains two or more points of E; counts
-    are arithmetic on the E1 grid plus a vectorized scan of E2.  Raises
-    WhitneyCapError when the square budget runs out.
+    are arithmetic on the E1 grid plus a test of the E2 points in each
+    square's x-window, found by `searchsorted`.  Raises WhitneyCapError when
+    the square budget runs out.
     """
     if ps.n_e2 + min(ps.e1_count, 2) < 2:
         raise ValueError("need at least 2 points in E")
@@ -555,9 +598,11 @@ def _psi_terms(wd: WhitneyDecomposition, rows: np.ndarray, pts: np.ndarray):
     return psi, px, py, pxx, pxy, pyy
 
 
-def active_table(wd: WhitneyDecomposition, pts: np.ndarray):
+def active_table(wd: WhitneyDecomposition, pts: np.ndarray,
+                 home: np.ndarray | None = None):
     """CSR (indptr, square rows) of squares whose 1.1-dilate contains each
-    point, ascending within a point.
+    point, ascending within a point.  home, when the caller has it, holds
+    `wd.locate(pts)`.
 
     A touching square is at most twice as large as the containing square Q
     (`verify_cz`'s `neighbor_ratio_ok`), so its 1.1-dilate reaches at most
@@ -568,7 +613,8 @@ def active_table(wd: WhitneyDecomposition, pts: np.ndarray):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = pts.shape[0]
-    home = wd.locate(pts)
+    if home is None:
+        home = wd.locate(pts)
     reach = _DEEP * wd.delta[home]
     deep = (np.abs(pts[:, 0] - wd.cx[home]) < reach) & \
            (np.abs(pts[:, 1] - wd.cy[home]) < reach)
@@ -593,18 +639,20 @@ def active_table(wd: WhitneyDecomposition, pts: np.ndarray):
     return indptr, sq
 
 
-def pou_table(wd: WhitneyDecomposition, pts: np.ndarray):
+def pou_table(wd: WhitneyDecomposition, pts: np.ndarray,
+              home: np.ndarray | None = None):
     """theta and derivatives for all active (point, square) pairs.
 
     Returns (indptr, sq, theta, tx, ty, txx, txy, tyy) in CSR layout over the
-    points.  The normalizing sum is at least 1 everywhere in Q0 because every
-    point lies in some square where its own psi is 1.  A point of Q0 with a
-    single active square lies in that square, where psi is exactly 1 (the profile is
-    1 on |u| <= 0.5), so its theta is 1 and every derivative 0; the psi
-    algebra runs only on points with two or more active squares.
+    points; home, if given, is passed to `active_table`.  The normalizing
+    sum is at least 1 everywhere in Q0 because every point lies in some
+    square where its own psi is 1.  A point of Q0 with a single active
+    square lies in that square, where psi is exactly 1 (the profile is 1 on
+    |u| <= 0.5), so its theta is 1 and every derivative 0; the psi algebra
+    runs only on points with two or more active squares.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    indptr, sq = active_table(wd, pts)
+    indptr, sq = active_table(wd, pts, home)
     reps = np.diff(indptr)
     th = np.ones(sq.size)
     tx, ty, txx, txy, tyy = (np.zeros(sq.size) for _ in range(5))
@@ -759,11 +807,14 @@ def verify_dist_bd(wd: WhitneyDecomposition) -> dict:
     y0, y1 = wd.cy - h, wd.cy + h
     d1 = dist_to_e1(ps, x0, y0, x1, y1)
     r = wd.delta / (ps.delta + d1)
-    de = d1
-    for ex, ey in ps.e2:
-        dx = np.maximum(0.0, np.maximum(ex - x1, x0 - ex))
-        dy = np.maximum(0.0, np.maximum(ey - y1, y0 - ey))
-        de = np.minimum(de, np.hypot(dx, dy))
+    # dist(Q, x) >= its x-gap, so a point of E2 more than d1 away in x
+    # cannot lower min(d1, .): only the points in the widened window count
+    de = d1.copy()
+    ex, ey = _e2_sorted(ps)
+    i, j = _e2_candidates(ex, x0 - d1, x1 + d1)
+    dx = np.maximum(0.0, np.maximum(ex[j] - x1[i], x0[i] - ex[j]))
+    dy = np.maximum(0.0, np.maximum(ey[j] - y1[i], y0[i] - ey[j]))
+    np.minimum.at(de, i, np.hypot(dx, dy))
     m3 = (wd.type_codes == TYPE_III) & ~wd.boundary
     out = {"ratio_min": float(r.min()), "ratio_max": float(r.max())}
     if np.any(m3):

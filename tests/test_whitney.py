@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from treeplane import WeightedTree, random_tree
-from treeplane.embedding import build_planar_set
+from treeplane.embedding import PlanarSet, build_planar_set
 from treeplane.suite import canonical, instance_geometry
-from treeplane.whitney import (DyadicSquare, Q0_HI, Q0_LO, Q0_SIDE,
+from treeplane.whitney import (DyadicSquare, Q0_HI, Q0_LO, Q0_SIDE, REL_TOL,
                                TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
                                basepoints, classify, decompose,
                                decompose_naive, e2_anchor_indices, neighbors,
                                neighbors_naive, pou_eval, pou_table,
-                               _morton, _psi_terms,
+                               _count_in_dilates, _morton, _psi_terms,
+                               active_table, dist_to_e1,
                                verify_basepoints, verify_boundary, verify_cz,
                                verify_dist_bd, verify_partition)
 
@@ -559,3 +560,181 @@ def test_locate_when_cells_are_the_squares():
     assert np.all(_assert_cell_table(wd))
     assert np.array_equal(wd.cells[_morton(wd.ixs, wd.iys)], np.arange(wd.n))
     assert _assert_locate_matches_oracle(wd, _locate_probes(wd)) == 0.0
+
+
+# -- E2 window queries -------------------------------------------------------------
+
+def _dense_e2_count(ps, cx, cy, delta, r):
+    """#(rQ cap E2) and the lowest row hit, from a full square-by-point mask."""
+    h = 0.5 * r * delta + REL_TOL * delta
+    mask = ((np.abs(ps.e2[None, :, 0] - cx[:, None]) <= h[:, None]) &
+            (np.abs(ps.e2[None, :, 1] - cy[:, None]) <= h[:, None]))
+    first = np.full(cx.shape[0], -1, dtype=np.int64)
+    hit = mask.any(axis=1)
+    first[hit] = np.argmax(mask[hit], axis=1)
+    return mask.sum(axis=1), first
+
+
+def _dense_dist_bd(wd):
+    """verify_dist_bd with every square measured against every E2 point."""
+    ps = wd.ps
+    h = 0.5 * wd.delta
+    x0, x1 = wd.cx - h, wd.cx + h
+    y0, y1 = wd.cy - h, wd.cy + h
+    d1 = dist_to_e1(ps, x0, y0, x1, y1)
+    r = wd.delta / (ps.delta + d1)
+    de = d1
+    for ex, ey in ps.e2:
+        dx = np.maximum(0.0, np.maximum(ex - x1, x0 - ex))
+        dy = np.maximum(0.0, np.maximum(ey - y1, y0 - ey))
+        de = np.minimum(de, np.hypot(dx, dy))
+    m3 = (wd.type_codes == TYPE_III) & ~wd.boundary
+    out = {"ratio_min": float(r.min()), "ratio_max": float(r.max())}
+    if np.any(m3):
+        q = wd.delta[m3] / de[m3]
+        out["type3_ratio_min"] = float(q.min())
+        out["type3_ratio_max"] = float(q.max())
+    out["ok"] = np.isfinite(out["ratio_max"]) and out["ratio_min"] > 0
+    return out
+
+
+def _assert_e2_counts_match_dense(ps, cx, cy, delta):
+    for r in (1.1, 3.0):
+        _, n2, _, first = _count_in_dilates(ps, cx, cy, delta, r, chunk=1000)
+        want_n2, want_first = _dense_e2_count(ps, cx, cy, delta, r)
+        assert np.array_equal(n2, want_n2)
+        assert np.array_equal(first, want_first)
+
+
+def _e2_refined(ps, max_level):
+    """Type-classified decomposition of Q0 that splits every square whose
+    3-dilate holds a point of E2, down to max_level; E1 is ignored, so deep
+    trees stay small.  Squares whose closed square holds no point of E are
+    marked Type III for the distance report."""
+    ex, ey = ps.e2[:, 0], ps.e2[:, 1]
+    done, lv = [], 0
+    ixs = iys = np.zeros(1, dtype=np.int64)
+    while ixs.size:
+        d = Q0_SIDE * 2.0 ** -lv
+        cx, cy = Q0_LO + (ixs + 0.5) * d, Q0_LO + (iys + 0.5) * d
+        split = np.any((np.abs(ex - cx[:, None]) <= 1.5 * d) &
+                       (np.abs(ey - cy[:, None]) <= 1.5 * d), axis=1)
+        split &= lv < max_level
+        done.append((np.full(int((~split).sum()), lv), ixs[~split],
+                     iys[~split]))
+        sx, sy = ixs[split], iys[split]
+        ixs = np.repeat(sx * 2, 4) + np.tile([0, 1, 0, 1], sx.size)
+        iys = np.repeat(sy * 2, 4) + np.tile([0, 0, 1, 1], sx.size)
+        lv += 1
+    wd = WhitneyDecomposition(ps, *(np.concatenate(c) for c in zip(*done)))
+    h = 0.5 * wd.delta
+    holds = np.any((np.abs(ex - wd.cx[:, None]) <= h[:, None]) &
+                   (np.abs(ey - wd.cy[:, None]) <= h[:, None]), axis=1)
+    holds |= dist_to_e1(ps, wd.cx - h, wd.cy - h, wd.cx + h, wd.cy + h) == 0
+    wd.type_codes = np.where(holds, TYPE_II, TYPE_III).astype(np.int8)
+    return wd
+
+
+@pytest.fixture(scope="module")
+def thirteen():
+    """random_tree(3, 3, 0.05, 1): 13 leaves, whose full decomposition has
+    1.9M squares; the E2-refined one keeps the tests small."""
+    ps = build_planar_set(random_tree(N=3, depth=3, epsilon=0.05, seed=1))
+    assert ps.n_e2 == 13
+    return ps, _e2_refined(ps, 18)
+
+
+def _edge_squares(ps, r):
+    """Squares whose r-dilate edge falls on an E2 x or y, within REL_TOL of
+    the side and within a few ulps, at several sizes."""
+    h_of = lambda d: 0.5 * r * d + REL_TOL * d      # as the counter forms it
+    cx, cy, delta = [], [], []
+    for d in Q0_SIDE * 2.0 ** -np.arange(2, 30, 3):
+        for ex, ey in ps.e2:
+            h = h_of(d)
+            for t in (-2e-12, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 2e-12):
+                for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)):
+                    cx.append(ex - sx * h * (1 + t))
+                    cy.append(ey - sy * h * (1 + t))
+                    delta.append(d)
+            # a window bound a few ulps either side of the point
+            for side in (1.0, -1.0):
+                c = ex - side * h
+                for k in range(-4, 5):
+                    cx.append(c + k * np.spacing(c))
+                    cy.append(ey)
+                    delta.append(d)
+    return np.array(cx), np.array(cy), np.array(delta)
+
+
+def test_e2_counts_match_dense_mask_on_registry_instance():
+    ps, wd = instance_geometry(canonical("n2d2-loose"))[1:3]
+    _assert_e2_counts_match_dense(ps, wd.cx, wd.cy, wd.delta)
+
+
+def test_e2_counts_match_dense_mask_on_thirteen_leaves(thirteen):
+    """The squares and their ancestors up to Q0, which sees every point."""
+    ps, wd = thirteen
+    lv, ix, iy = [wd.levels], [wd.ixs], [wd.iys]
+    while lv[-1].max() > 0:
+        up = lv[-1] > 0
+        lv.append(lv[-1] - up)
+        ix.append(ix[-1] >> up)
+        iy.append(iy[-1] >> up)
+    delta = Q0_SIDE * 2.0 ** -np.concatenate(lv)
+    cx = Q0_LO + (np.concatenate(ix) + 0.5) * delta
+    cy = Q0_LO + (np.concatenate(iy) + 0.5) * delta
+    _assert_e2_counts_match_dense(ps, cx, cy, delta)
+    _, n2, _, _ = _count_in_dilates(ps, cx, cy, delta, 1.1)
+    assert n2.max() == 13
+
+
+@pytest.mark.parametrize("r", [1.1, 3.0])
+def test_e2_counts_match_dense_mask_on_window_edges(thirteen, r):
+    ps, _ = thirteen
+    cx, cy, delta = _edge_squares(ps, r)
+    _assert_e2_counts_match_dense(ps, cx, cy, delta)
+    _, n2, _, _ = _count_in_dilates(ps, cx, cy, delta, r)
+    assert 0 < np.count_nonzero(n2) < n2.size
+
+
+def test_e2_counts_without_e2():
+    ps = PlanarSet(delta=0.25, e1_count=9, e2=np.zeros((0, 2)), leaf_ids=[],
+                   leaf_index={})
+    wd = decompose(ps)
+    n1, n2, e1f, e2f = _count_in_dilates(ps, wd.cx, wd.cy, wd.delta, 1.1)
+    assert not n2.any() and np.all(e2f == -1)
+    assert np.array_equal(wd.type_codes == TYPE_I, n1 == 1)
+    assert verify_dist_bd(wd) == _dense_dist_bd(wd)
+
+
+def test_dist_bd_matches_dense_scan(coarse, medium, thirteen):
+    registry = instance_geometry(canonical("n2d2-loose"))[2]
+    for wd in (coarse[1], medium[1], thirteen[1], registry):
+        rep = verify_dist_bd(wd)
+        assert "type3_ratio_min" in rep
+        assert rep == _dense_dist_bd(wd)
+
+
+def test_e2_queries_refuse_unsorted_rows(medium):
+    ps, wd = medium
+    flipped = PlanarSet(delta=ps.delta, e1_count=ps.e1_count,
+                        e2=ps.e2[::-1].copy(), leaf_ids=ps.leaf_ids[::-1],
+                        leaf_index={})
+    with pytest.raises(ValueError, match="sorted by x"):
+        _count_in_dilates(flipped, wd.cx, wd.cy, wd.delta, 1.1)
+    with pytest.raises(ValueError, match="sorted by x"):
+        decompose(flipped)
+    wd_flipped = WhitneyDecomposition(flipped, wd.levels, wd.ixs, wd.iys)
+    with pytest.raises(ValueError, match="sorted by x"):
+        verify_dist_bd(wd_flipped)
+
+
+def test_pou_table_takes_known_home_rows(medium):
+    _, wd = medium
+    pts = np.random.default_rng(5).uniform(Q0_LO, Q0_HI, (4000, 2))
+    home = wd.locate(pts)
+    for got, want in zip(active_table(wd, pts, home), active_table(wd, pts)):
+        assert np.array_equal(got, want)
+    for got, want in zip(pou_table(wd, pts, home), pou_table(wd, pts)):
+        assert np.array_equal(got, want)
