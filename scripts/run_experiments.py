@@ -9,11 +9,9 @@ import argparse
 import os
 import time
 
-from treeplane.clusters import assign_clusters, build_clusters
-from treeplane.embedding import build_planar_set
-from treeplane.operators import norm_ratio_experiment, write_experiment_csv
+from treeplane.operators import (build_geometry, norm_ratio_experiment,
+                                 write_experiment_csv)
 from treeplane.suite import CANONICAL, instance_tree
-from treeplane.whitney import decompose
 
 
 def main() -> int:
@@ -37,10 +35,7 @@ def main() -> int:
         name = inst.name
         tree = instance_tree(inst)
         t0 = time.perf_counter()
-        ps = build_planar_set(tree)
-        wd = decompose(ps, cap=args.cap)
-        ct = build_clusters(tree, ps, kappa=10.25)
-        assign_clusters(ct, wd)
+        ps, wd, ct = build_geometry(tree, cap=args.cap)
         t_geom = time.perf_counter() - t0
         print(f"{name}: {wd.n} squares ({t_geom:.1f}s geometry)")
         t0 = time.perf_counter()

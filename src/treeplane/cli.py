@@ -19,8 +19,9 @@ import numpy as np
 
 from .clusters import ClusterBallError, assign_clusters, build_clusters
 from .embedding import PlanarGeometryError, build_planar_set
-from .operators import (PlanarData, norm_ratio_experiment, planar_extend,
-                        tree_extend_from_planar, write_experiment_csv)
+from .operators import (PlanarData, build_geometry, norm_ratio_experiment,
+                        planar_extend, tree_extend_from_planar,
+                        write_experiment_csv)
 from .suite import verify_tree
 from .tree_core import (LeafFunction, TreeStructureError, WeightedTree,
                         random_tree, validate)
@@ -200,19 +201,11 @@ def cmd_verify(args, cfg) -> int:
     return EXIT_OK
 
 
-def _pipeline_geometry(tree, kappa):
-    ps = build_planar_set(tree)
-    wd = decompose(ps)
-    ct = build_clusters(tree, ps, kappa=kappa)
-    assign_clusters(ct, wd)
-    return ps, wd, ct
-
-
 def cmd_extend_plane(args, cfg) -> int:
     eff = _effective(args, cfg, ("p", "kappa", "seed", "backend", "samples"))
     tree = _load_tree(args.tree)
     phi = _leaf_data(tree, args, eff["seed"])
-    ps, wd, ct = _pipeline_geometry(tree, eff["kappa"])
+    ps, wd, ct = build_geometry(tree, kappa=eff["kappa"])
     f = PlanarData.from_leaf_function(tree, ps, phi)
     F = planar_extend(tree, ps, wd, ct, f, eff["p"], backend=eff["backend"])
     if args.out:
@@ -228,7 +221,7 @@ def cmd_extend_tree(args, cfg) -> int:
     eff = _effective(args, cfg, ("p", "kappa", "seed", "backend"))
     tree = _load_tree(args.tree)
     phi = _leaf_data(tree, args, eff["seed"])
-    ps, wd, ct = _pipeline_geometry(tree, eff["kappa"])
+    ps, wd, ct = build_geometry(tree, kappa=eff["kappa"])
     Phi = tree_extend_from_planar(tree, ps, wd, ct, phi, eff["p"],
                                   tree_backend=eff["backend"])
     doc = {"params": eff,

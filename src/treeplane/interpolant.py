@@ -10,12 +10,13 @@ numerically stable form and the shape the patching estimate sums.
 
 F blends only where pieces differ.  At a point whose home square (the one
 containing it) touches only squares with its own piece, every active square
-carries that piece, so F is that affine exactly, with zero Hessian.  The
-interpolant takes a set of blend rows that contains every square touching a
+carries that piece, so F is that affine exactly, with zero Hessian.  Every
+interpolant carries a blend-row mask that holds every square touching a
 different piece; points homed elsewhere take their square's piece and skip
-the partition-of-unity table.  For lifted leaf data the pieces differ only
-across clusters, so the blend rows are the squares on a cluster boundary
-(876 of 262,333 on `n2d2-loose`); general data blends every square.
+the partition-of-unity table.  By default every row is a blend row.  For
+lifted leaf data the pieces differ only across clusters, so the blend rows
+are the squares on a cluster boundary (876 of 262,333 on `n2d2-loose`);
+general data keeps the default and blends every square.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .whitney import Q0_HI, Q0_LO, WhitneyDecomposition, pou_table
+from .whitney import (Q0_HI, Q0_LO, WhitneyDecomposition, pou_table,
+                      run_indices)
 
 AREA_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -104,10 +106,11 @@ class PatchedInterpolant:
     every boundary square's piece must equal the tail polynomial, which is what
     makes the glued function match its outside formula across the frame edge.
 
-    blend_rows, when given, must hold every row whose touching list holds a
-    different piece (any superset will do).  A point whose home square is
-    not among them sees only squares with its home's piece, and the theta
-    sum to one, so F there is that piece exactly.  None blends every row.
+    blend is a boolean mask over the rows: the blend rows, which must hold
+    every row whose touching list holds a different piece (any superset
+    will do).  A point whose home square is not a blend row sees only
+    squares with its home's piece, and the theta sum to one, so F there is
+    that piece exactly.  blend_rows=None makes every row a blend row.
     """
 
     def __init__(self, wd: WhitneyDecomposition, coefs: np.ndarray,
@@ -124,10 +127,8 @@ class PatchedInterpolant:
         self.wd = wd
         self.coefs = coefs
         self.tail = tail
-        self.blend = None
-        if blend_rows is not None:
-            self.blend = np.zeros(wd.n, dtype=bool)
-            self.blend[blend_rows] = True
+        self.blend = np.zeros(wd.n, dtype=bool)
+        self.blend[slice(None) if blend_rows is None else blend_rows] = True
 
     def piece(self, row: int) -> AffinePolynomial:
         a, b, c = self.coefs[row]
@@ -164,26 +165,22 @@ class PatchedInterpolant:
         A = self.coefs
         # a batch wholly inside the frame is located as it is, not copied
         at = None if inside.all() else np.flatnonzero(inside)
-        home = None
-        if self.blend is not None:
-            # every point takes its home square's piece; those homed on a
-            # blend row are overwritten by the blend below
-            xin = pts if at is None else pts[at]
-            home = self.wd.locate(xin)
-            P = np.take(A, home, axis=0)
-            put = slice(None) if at is None else at
-            if order == 0:
-                out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
-            elif order == 1:
-                out[put] = P[:, 1:]
-            # order 2: one piece's Hessian is the zeros above
-            mix = np.flatnonzero(self.blend[home])
-            at = mix if at is None else at[mix]
-            home = home[mix]
-            if not at.size:
-                return out[0] if single else out
-        elif at is None:
-            at = np.arange(m)
+        # every point takes its home square's piece; those homed on a blend
+        # row are overwritten by the blend below
+        xin = pts if at is None else pts[at]
+        home = self.wd.locate(xin)
+        P = np.take(A, home, axis=0)
+        put = slice(None) if at is None else at
+        if order == 0:
+            out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
+        elif order == 1:
+            out[put] = P[:, 1:]
+        # order 2: one piece's Hessian is the zeros above
+        mix = np.flatnonzero(self.blend[home])
+        at = mix if at is None else at[mix]
+        home = home[mix]
+        if not at.size:
+            return out[0] if single else out
         xin = pts[at]
         indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin, home)
         ref = sq[indptr[:-1]]      # every point has at least one active square
@@ -237,19 +234,15 @@ class PatchedInterpolant:
 def _differing_pairs(F: PatchedInterpolant) -> tuple[np.ndarray, np.ndarray]:
     """Touching pairs (s, t), s < t, whose pieces differ.  Touching is
     symmetric and a self pair never differs, so each unordered pair is
-    compared once.  Blend rows hold both squares of every differing pair,
-    so when F has them only their touching lists are scanned."""
+    compared once.  The blend rows hold both squares of every differing
+    pair, so only their touching lists are scanned: every list by default,
+    the cluster-boundary rows' for lifted data."""
     wd = F.wd
     ip = wd.neighbors_indptr
-    if F.blend is None:
-        src, dst = np.repeat(np.arange(wd.n), np.diff(ip)), wd.neighbors
-    else:
-        rows = np.flatnonzero(F.blend)
-        cnt = ip[rows + 1] - ip[rows]
-        src = np.repeat(rows, cnt)
-        # each entry's place in wd.neighbors: its row's start plus its rank
-        at = np.repeat(ip[rows] - np.cumsum(cnt) + cnt, cnt)
-        dst = wd.neighbors[at + np.arange(src.size)]
+    rows = np.flatnonzero(F.blend)
+    cnt = ip[rows + 1] - ip[rows]
+    src = np.repeat(rows, cnt)
+    dst = wd.neighbors[run_indices(ip[rows], cnt)]
     once = src < dst
     src, dst = src[once], dst[once]
     differ = np.zeros(src.size, dtype=bool)

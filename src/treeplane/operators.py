@@ -1,5 +1,8 @@
 """The two directions of the tree-plane equivalence.
 
+build_geometry runs the one chain from a tree to its geometry: the planar
+set, its Whitney decomposition and the cluster tree with every square
+assigned.
 One piece builder makes every interpolant: the horizontal affine through
 each square's two grid base points plus the vertical slope of the square's
 cluster.  The slopes come from a tree extension backend, "optimal" or
@@ -32,7 +35,8 @@ from .interpolant import AffinePolynomial, PatchedInterpolant
 from .tree_core import (LeafFunction, NodeFunction, WeightedTree,
                         edge_energy, seminorm_tree)
 from .tree_extension import averaging_extension, optimal_extension
-from .whitney import WhitneyDecomposition, decompose, e2_anchor_indices
+from .whitney import (SQUARE_CAP, WhitneyDecomposition, decompose,
+                      e2_anchor_indices)
 
 CAVEAT = ("ratio stability across instances is the reportable quantity; "
           "the equivalence constant itself is not computable from the proof")
@@ -80,6 +84,18 @@ class PlanarData:
         slopes = phi.to_array(tree)
         return cls(e2_values=slopes * ps.e2[:, 1], e1_rule=0.0,
                    lifted=slopes)
+
+
+def build_geometry(tree: WeightedTree, kappa: float = 10.25,
+                   K1: float | None = None, cap: int = SQUARE_CAP
+                   ) -> tuple[PlanarSet, WhitneyDecomposition, ClusterTree]:
+    """The planar set of a tree, its Whitney decomposition (at most cap
+    squares) and its cluster tree with every square assigned a cluster."""
+    ps = build_planar_set(tree)
+    wd = decompose(ps, cap=cap)
+    ct = build_clusters(tree, ps, kappa=kappa, K1=K1)
+    assign_clusters(ct, wd)
+    return ps, wd, ct
 
 
 def _tree_backend(backend) -> Callable:
@@ -266,12 +282,8 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     if geometry is None:
-        ps = build_planar_set(tree)
-        wd = decompose(ps)
-        ct = build_clusters(tree, ps, kappa=kappa, K1=K1)
-        assign_clusters(ct, wd)
-    else:
-        ps, wd, ct = geometry
+        geometry = build_geometry(tree, kappa=kappa, K1=K1)
+    ps, wd, ct = geometry
     ew = edge_weights(wd, ct, p, quad_order)
     rows = [_run_trial(tree, ps, wd, ct, ew, p, seed, backend, rings, angles,
                        t) for t in range(n_trials)]

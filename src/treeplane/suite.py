@@ -21,7 +21,8 @@ from .analysis import (GaussianBumpField, ball_estimate_sums, disk_seminorm,
 from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
                        assign_clusters_naive, build_clusters, pair_sets)
 from .embedding import build_planar_set, verify_lemma_psi, verify_lemma_sep
-from .operators import PlanarData, planar_extend, verify_restriction
+from .operators import (PlanarData, build_geometry, planar_extend,
+                        verify_restriction)
 from .tree_core import LeafFunction, WeightedTree, random_tree
 from .whitney import (Q0_HI, Q0_LO, WhitneyCapError, decompose, pou_table,
                       verify_basepoints, verify_boundary, verify_cz,
@@ -83,13 +84,10 @@ def instance_tree(inst: Instance) -> WeightedTree:
 @functools.lru_cache(maxsize=None)
 def _geometry(inst: Instance, kappa: float):
     tree = instance_tree(inst)
-    ps = build_planar_set(tree)
-    ct = build_clusters(tree, ps, kappa=kappa)
-    wd = None
     if inst.full:
-        wd = decompose(ps)
-        assign_clusters(ct, wd)
-    return tree, ps, wd, ct
+        return (tree, *build_geometry(tree, kappa=kappa))
+    ps = build_planar_set(tree)
+    return tree, ps, None, build_clusters(tree, ps, kappa=kappa)
 
 
 def instance_geometry(inst: Instance, kappa: float = 10.25):

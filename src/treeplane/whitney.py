@@ -151,6 +151,13 @@ def _e2_sorted(ps: PlanarSet) -> tuple[np.ndarray, np.ndarray]:
     return ex, ey
 
 
+def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs [start, start + count), run after run: each
+    entry is its run's start plus its rank in the run."""
+    return (np.repeat(starts - np.cumsum(counts) + counts, counts) +
+            np.arange(np.sum(counts)))
+
+
 def _e2_candidates(ex: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(query, E2 row) pairs with lo <= x <= hi, grouped by query and
     ascending in row.  Each window is widened by 1e-9 of |lo| + |hi|, far
@@ -162,9 +169,7 @@ def _e2_candidates(ex: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # most windows are empty: expand only the others
     q = np.flatnonzero(cnt)
     a, cnt = a[q], cnt[q]
-    i = np.repeat(q, cnt)
-    j = np.repeat(a - np.cumsum(cnt) + cnt, cnt) + np.arange(i.size)
-    return i, j
+    return np.repeat(q, cnt), run_indices(a, cnt)
 
 
 def _count_in_dilates(ps: PlanarSet, cx, cy, delta, r, chunk=200_000):
@@ -360,10 +365,8 @@ def _touching_graph(x0, y0, side):
         hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi,
                                  side="right" if closed else "left")
         counts = np.maximum(0, hi_idx - lo_idx)
-        offs = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts)
         plus = np.repeat(np.arange(n), counts)
-        minus = order_minus[np.repeat(lo_idx, counts) + offs]
+        minus = order_minus[run_indices(lo_idx, counts)]
         src += [plus, minus]
         dst += [minus, plus]
     src, dst = np.concatenate(src), np.concatenate(dst)
@@ -622,8 +625,7 @@ def active_table(wd: WhitneyDecomposition, pts: np.ndarray,
     starts = wd.neighbors_indptr[home[near]]
     counts = wd.neighbors_indptr[home[near] + 1] - starts
     pt_idx = np.repeat(near, counts)
-    offs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    cand = wd.neighbors[np.repeat(starts, counts) + offs]
+    cand = wd.neighbors[run_indices(starts, counts)]
     half = _T1 * wd.delta[cand]
     keep = (np.abs(pts[pt_idx, 0] - wd.cx[cand]) <= half) & \
            (np.abs(pts[pt_idx, 1] - wd.cy[cand]) <= half)

@@ -288,6 +288,24 @@ def lifted_extension(tree, ps, wd, ct, seed):
     return planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
 
 
+def general_extension(tree, ps, wd, ct, seed):
+    """Non-affine grid data and random upper values: most pieces differ."""
+    rng = np.random.default_rng(seed)
+    f = PlanarData(e2_values=rng.standard_normal(ps.n_e2),
+                   e1_rule=lambda x1: 0.3 * np.sin(3.0 * x1) + 0.1 * x1 ** 2)
+    return planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
+
+
+def dense_differing_pairs(F):
+    """Every touching list scanned, each pair (s, t), s < t, compared."""
+    ip = F.wd.neighbors_indptr
+    src, dst = np.repeat(np.arange(F.wd.n), np.diff(ip)), F.wd.neighbors
+    once = src < dst
+    src, dst = src[once], dst[once]
+    differ = np.any(F.coefs[src] != F.coefs[dst], axis=1)
+    return src[differ], dst[differ]
+
+
 def blend_probe_points(tree, ps, ct, seed):
     """Points crowded around every cluster-ball circle (where squares of
     different clusters meet), around the upper points and along the grid,
@@ -314,7 +332,7 @@ def test_differing_rows_are_blend_rows(name):
     differ."""
     tree, ps, wd, ct = blend_geometry(name)
     F = lifted_extension(tree, ps, wd, ct, seed=5)
-    assert F.blend is not None
+    assert not F.blend.all()
     assert np.array_equal(np.flatnonzero(F.blend), ct.cross_rows)
     s, t = _differing_pairs(F)
     assert s.size > 0
@@ -324,13 +342,34 @@ def test_differing_rows_are_blend_rows(name):
 @pytest.mark.parametrize("name", BLEND_GEOMETRIES)
 def test_blend_row_scan_finds_every_differing_pair(name):
     """Scanning only the blend rows' touching lists gives the pairs of the
-    scan over every touching list, in the same order."""
+    dense scan over every touching list, in the same order, whether the
+    blend rows are the interpolant's own, every row or just the rows of the
+    differing pairs, on lifted and on general data."""
     tree, ps, wd, ct = blend_geometry(name)
-    F = lifted_extension(tree, ps, wd, ct, seed=5)
-    full = PatchedInterpolant(wd, F.coefs, F.tail)
-    got, want = _differing_pairs(F), _differing_pairs(full)
-    assert want[0].size > 0
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for extend in (lifted_extension, general_extension):
+        F = extend(tree, ps, wd, ct, seed=5)
+        # lifted data brings the cluster-boundary rows, general data every row
+        assert F.blend.all() == (extend is general_extension)
+        want = dense_differing_pairs(F)
+        assert want[0].size > 0
+        every = PatchedInterpolant(wd, F.coefs, F.tail)
+        only = PatchedInterpolant(wd, F.coefs, F.tail, np.union1d(*want))
+        for G in (F, every, only):
+            got = _differing_pairs(G)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def pair_probe_points(wd, s, t):
+    """One point per square of the touching pairs (s, t): inside the square,
+    on the segment to the centre of one partner, where it has 1% of the
+    side left to the edge.  The segment leaves the square through the
+    contact with that partner, so the partner's bump reaches the point."""
+    q, first = np.unique(np.concatenate([s, t]), return_index=True)
+    r = np.concatenate([t, s])[first]
+    dx, dy = wd.cx[r] - wd.cx[q], wd.cy[r] - wd.cy[q]
+    lam = 0.49 * wd.delta[q] / np.maximum(np.abs(dx), np.abs(dy))
+    return np.column_stack([wd.cx[q] + lam * dx, wd.cy[q] + lam * dy])
 
 
 def assert_same_as_blending_everywhere(F, pts):
@@ -361,14 +400,27 @@ def test_lifted_evaluate_matches_blending_every_row(name):
         assert np.array_equal(got, F.evaluate(pts, order)[inside])
 
 
-@pytest.mark.parametrize("name", ["tri", "n2d2-loose"])
-def test_general_evaluate_matches_blending_every_row(name):
+@pytest.mark.parametrize("name, data", [
+    pytest.param("tri", "affine", id="tri"),
+    pytest.param("n2d2-loose", "affine", id="n2d2-loose"),
+    pytest.param("tri", "non-affine", id="tri-non-affine"),
+    pytest.param("n2d2-loose", "non-affine", id="n2d2-loose-non-affine")])
+def test_general_evaluate_matches_blending_every_row(name, data):
     """General planar data blends every square; blending only on the rows
-    whose touching list holds a different piece gives the same numbers."""
+    whose touching list holds a different piece gives the same numbers.
+    Affine data's pieces differ only by rounding; non-affine data's differ
+    genuinely, and they are probed on every row of a differing pair."""
     tree, ps, wd, ct = blend_geometry(name)
-    f = PlanarData.from_affine(ps, AffinePolynomial(0.3, -0.7, 1.1))
-    G = planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
-    assert G.blend is None
-    F = PatchedInterpolant(wd, G.coefs, G.tail,
-                           np.union1d(*_differing_pairs(G)))
-    assert_same_as_blending_everywhere(F, blend_probe_points(tree, ps, ct, 8))
+    if data == "affine":
+        f = PlanarData.from_affine(ps, AffinePolynomial(0.3, -0.7, 1.1))
+        G = planar_extend(tree, ps, wd, ct, f, p=1.5, backend="averaging")
+    else:
+        G = general_extension(tree, ps, wd, ct, seed=9)
+    assert G.blend.all()
+    s, t = _differing_pairs(G)
+    F = PatchedInterpolant(wd, G.coefs, G.tail, np.union1d(s, t))
+    pts = blend_probe_points(tree, ps, ct, 8)
+    if data == "non-affine":
+        # a point on every differing row, beside a square with another piece
+        pts = np.vstack([pts, pair_probe_points(wd, s, t)])
+    assert_same_as_blending_everywhere(F, pts)
