@@ -22,12 +22,17 @@ def main() -> int:
     args = ap.parse_args()
     Ns = args.Ns or [2, 3]
     ps = args.ps or [1.25, 1.5, 1.75]
+    depth1 = [inst for inst in CANONICAL if inst.depth == 1]
+    available = sorted({inst.N for inst in depth1})
+    missing = [N for N in Ns if N not in available]
+    if missing:
+        print(f"no depth-1 instance with N = {missing}; available N: "
+              f"{available}", file=sys.stderr)
+        return 2
 
     rows = []
     for N in Ns:
-        chosen = [inst for inst in CANONICAL
-                  if inst.N == N and inst.depth == 1]
-        for inst in chosen:
+        for inst in (i for i in depth1 if i.N == N):
             name = inst.name
             tree, pset, wd, ct = instance_geometry(inst)
             for p in ps:

@@ -50,8 +50,14 @@ from .interpolant import (PatchedInterpolant, _differing_pairs,
 from .whitney import _profile, e2_anchor_indices
 
 QUAD_CHUNK = 400_000
-# nodes per batch of panel blocks: each field of a batch stays in cache
-BLOCK_NODES = 16_384
+# nodes per batch of panel blocks: each field of a batch stays in cache.
+# A (blocks, k, k) float64 field of a full batch is 8 * BLOCK_NODES bytes.
+# From 16_384 (128 KiB, glibc's default mmap threshold) the batch fields
+# sit at the threshold, which glibc raises when a larger mmapped block is
+# freed, so whether they are mmapped, and page-fault on every allocation,
+# depends on which arrays the process freed before: a ratio trial took
+# thousands of faults per call at 16_384 and about one at 8_192.
+BLOCK_NODES = 8_192
 
 # Span [-1, 1] split where the blend changes analytic form.  Touching squares
 # come in sizes half/equal/double at dyadic positions, so their bump bands
@@ -131,7 +137,8 @@ def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ar = np.arange(int(cnt.max(initial=0)))[None, :]
     valid = ar < cnt[:, None]
     cand = wd.neighbors[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
-    return cand, valid
+    # int64, as `whitney.touching_pairs` gives: the lists are int32
+    return cand.astype(np.int64), valid
 
 
 def _batches(n: int, per: int, budget: int):

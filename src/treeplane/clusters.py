@@ -25,7 +25,8 @@ import numpy as np
 
 from .embedding import PlanarSet
 from .tree_core import WeightedTree
-from .whitney import (Q0_HI, Q0_LO, TYPE_II, WhitneyDecomposition)
+from .whitney import (Q0_HI, Q0_LO, TYPE_II, WhitneyDecomposition,
+                      touching_pairs)
 
 REL_TOL = 1e-12
 
@@ -258,7 +259,9 @@ def cross_cluster_rows(wd: WhitneyDecomposition, lab: np.ndarray) -> np.ndarray:
     under the labels lab: the squares on a cluster boundary."""
     ip = wd.neighbors_indptr
     small = lab.astype(np.min_scalar_type(int(lab.max())))  # narrow gathers
-    hit = np.flatnonzero(small[wd.neighbors] != np.repeat(small, np.diff(ip)))
+    # take, not fancy indexing: it reads the int32 lists without a slow path
+    hit = np.flatnonzero(small.take(wd.neighbors) !=
+                         np.repeat(small, np.diff(ip)))
     return np.unique(np.searchsorted(ip, hit, "right") - 1)
 
 
@@ -338,15 +341,18 @@ def pair_sets(ct: ClusterTree, wd: WhitneyDecomposition,
     scale sums R_C = sum delta_Q^(2-p) / W_C^(2-p) over them.
 
     Also asserts that every neighboring pair of squares has equal clusters or
-    clusters one tree-edge apart.
+    clusters one tree-edge apart.  Only the touching lists of the cluster
+    boundary rows (ct.cross_rows) are read: every pair with two clusters has
+    its source there, in the order of a scan over all rows.
     """
     if ct.square_cluster is None:
         assign_clusters(ct, wd)
     assign = ct.square_cluster
     tree = ct.tree
-    counts = np.diff(wd.neighbors_indptr)
-    src = np.repeat(np.arange(wd.n), counts)
-    dst = wd.neighbors
+    rows = ct.cross_rows
+    if rows is None:
+        rows = cross_cluster_rows(wd, assign)
+    src, dst = touching_pairs(wd, rows)
     cs, cd = assign[src], assign[dst]
     differ = cs != cd
     par = tree.parent

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whitney import (Q0_HI, Q0_LO, WhitneyDecomposition, pou_table,
-                      run_indices)
+                      touching_pairs)
 
 AREA_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -237,12 +237,7 @@ def _differing_pairs(F: PatchedInterpolant) -> tuple[np.ndarray, np.ndarray]:
     compared once.  The blend rows hold both squares of every differing
     pair, so only their touching lists are scanned: every list by default,
     the cluster-boundary rows' for lifted data."""
-    wd = F.wd
-    ip = wd.neighbors_indptr
-    rows = np.flatnonzero(F.blend)
-    cnt = ip[rows + 1] - ip[rows]
-    src = np.repeat(rows, cnt)
-    dst = wd.neighbors[run_indices(ip[rows], cnt)]
+    src, dst = touching_pairs(F.wd, np.flatnonzero(F.blend))
     once = src < dst
     src, dst = src[once], dst[once]
     differ = np.zeros(src.size, dtype=bool)

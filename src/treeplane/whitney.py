@@ -51,6 +51,8 @@ REL_TOL = 1e-12
 SQUARE_CAP = 5 * 10 ** 6
 K0 = 50.0
 MORTON_MAX_LEVEL = 31
+# rows per chunk when a verifier scans the touching lists
+VERIFY_CHUNK = 16_384
 
 TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
@@ -156,6 +158,17 @@ def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     entry is its run's start plus its rank in the run."""
     return (np.repeat(starts - np.cumsum(counts) + counts, counts) +
             np.arange(np.sum(counts)))
+
+
+def touching_pairs(wd: WhitneyDecomposition, rows: np.ndarray):
+    """(src, dst) over the touching lists of the ascending rows, list after
+    list, so the pairs come in the order of a scan over all rows.  The lists
+    are stored as int32; dst comes back as int64 because numpy gathers
+    through int32 indices on a slow path."""
+    ip = wd.neighbors_indptr
+    cnt = ip[rows + 1] - ip[rows]
+    return (np.repeat(rows, cnt),
+            wd.neighbors[run_indices(ip[rows], cnt)].astype(np.int64))
 
 
 def _e2_candidates(ex: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -345,35 +358,56 @@ def _touching_graph(x0, y0, side):
     sweep takes closed overlap along y, so it also finds the corner contacts;
     the horizontal-face sweep takes open overlap along x, so it finds only
     squares sharing a horizontal face of positive length.
+
+    The lists are int32 (rows stay below 2^31 for any square cap up to
+    2^31).  No entry is held as an int64 (src, dst) pair: each sweep keeps
+    its pairs as int32, one int64 key src * n + dst per entry goes into a
+    single array that is sorted and reduced to dst in place, and the row
+    pointers are where the keys cross multiples of n.
     """
     n = x0.shape[0]
-    src, dst = [np.arange(n)], [np.arange(n)]
-    for a_lo, a_hi, b, closed in ((x0, x0 + side, y0, True),
-                                  (y0, y0 + side, x0, False)):
-        b_hi = b + side
-        # coordinates are at most 2^31, so the keys stay below 2^62 + 2^32
-        key_shift = int(np.max(a_hi)) + 1
-        # faces of square i: "plus side" at coordinate a_hi, "minus side" at a_lo
-        order_minus = np.argsort(a_lo * key_shift + b, kind="stable")
-        minus_line = a_lo[order_minus]
-        # within a line the b-intervals are disjoint, so b0 and b1 are both sorted
-        comp0 = minus_line * key_shift + b[order_minus]
-        comp1 = minus_line * key_shift + b_hi[order_minus]
-        # closed: b1_j >= b_i and b0_j <= b1_i; open: both strict
-        lo_idx = np.searchsorted(comp1, a_hi * key_shift + b,
-                                 side="left" if closed else "right")
-        hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi,
-                                 side="right" if closed else "left")
-        counts = np.maximum(0, hi_idx - lo_idx)
-        plus = np.repeat(np.arange(n), counts)
-        minus = order_minus[run_indices(lo_idx, counts)]
-        src += [plus, minus]
-        dst += [minus, plus]
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    # rows ascending by (src, dst); sorting the keys beats argsort + gather
-    dst = np.sort(src * n + dst) % n
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return indptr, dst
+    pairs = [_face_pairs(x0, x0 + side, y0, y0 + side, True),
+             _face_pairs(y0, y0 + side, x0, x0 + side, False)]
+    keys = np.empty(n + 2 * sum(plus.size for plus, _ in pairs),
+                    dtype=np.int64)
+    keys[:n] = np.arange(n, dtype=np.int64) * (n + 1)    # self pairs
+    at = n
+    for plus, minus in pairs:
+        for s, d in ((plus, minus), (minus, plus)):
+            seg = keys[at:at + s.size]
+            np.multiply(s, n, out=seg, dtype=np.int64)
+            seg += d
+            at += s.size
+    del pairs, plus, minus, s, d, seg    # the pairs live on as keys
+    # rows ascending by (src, dst)
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return indptr, keys.astype(np.int32)
+
+
+def _face_pairs(a_lo, a_hi, b, b_hi, closed):
+    """int32 (plus, minus) rows of the squares whose "plus" face at a_hi
+    meets the "minus" face at a_lo of another square on the same line,
+    with b-overlap closed or open; the sweep's temporaries die on return."""
+    n = a_lo.shape[0]
+    # coordinates are at most 2^31, so the keys stay below 2^62 + 2^32
+    key_shift = int(np.max(a_hi)) + 1
+    order_minus = np.argsort(a_lo * key_shift + b,
+                             kind="stable").astype(np.int32)
+    minus_line = a_lo[order_minus]
+    # within a line the b-intervals are disjoint, so b0 and b1 are both sorted
+    comp0 = minus_line * key_shift + b[order_minus]
+    comp1 = minus_line * key_shift + b_hi[order_minus]
+    # closed: b1_j >= b_i and b0_j <= b1_i; open: both strict
+    lo_idx = np.searchsorted(comp1, a_hi * key_shift + b,
+                             side="left" if closed else "right")
+    hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi,
+                             side="right" if closed else "left")
+    counts = np.maximum(0, hi_idx - lo_idx)
+    plus = np.repeat(np.arange(n, dtype=np.int32), counts)
+    minus = order_minus[run_indices(lo_idx, counts)]
+    return plus, minus
 
 
 def decompose(ps: PlanarSet, cap: int = SQUARE_CAP) -> WhitneyDecomposition:
@@ -733,17 +767,19 @@ def verify_cz(wd: WhitneyDecomposition) -> dict:
     p1, p2, _, _ = _count_in_dilates(ps, pcx, pcy, pdelta, 3.0)
     parent_big = bool(np.all(p1 + p2 >= 2))
     counts = np.diff(wd.neighbors_indptr)
-    src = np.repeat(np.arange(wd.n), counts)
-    dst = wd.neighbors
-    # both checks are symmetric and hold on self pairs: test each pair once
-    once = src < dst
-    src, dst = src[once], dst[once]
-    ratio_ok = bool(np.all(np.abs(wd.levels[src] - wd.levels[dst]) <= 1))
-    gap_x = np.maximum(wd.x0i[src] - (wd.x0i[dst] + wd.sidei[dst]),
-                       wd.x0i[dst] - (wd.x0i[src] + wd.sidei[src]))
-    gap_y = np.maximum(wd.y0i[src] - (wd.y0i[dst] + wd.sidei[dst]),
-                       wd.y0i[dst] - (wd.y0i[src] + wd.sidei[src]))
-    touch_ok = bool(np.all((gap_x <= 0) & (gap_y <= 0)))
+    ratio_ok = touch_ok = True
+    for lo in range(0, wd.n, VERIFY_CHUNK):
+        rows = np.arange(lo, min(lo + VERIFY_CHUNK, wd.n))
+        src, dst = touching_pairs(wd, rows)
+        # both checks are symmetric and hold on self pairs: test each pair once
+        once = src < dst
+        src, dst = src[once], dst[once]
+        ratio_ok &= bool(np.all(np.abs(wd.levels[src] - wd.levels[dst]) <= 1))
+        gap_x = np.maximum(wd.x0i[src] - (wd.x0i[dst] + wd.sidei[dst]),
+                           wd.x0i[dst] - (wd.x0i[src] + wd.sidei[src]))
+        gap_y = np.maximum(wd.y0i[src] - (wd.y0i[dst] + wd.sidei[dst]),
+                           wd.y0i[dst] - (wd.y0i[src] + wd.sidei[src]))
+        touch_ok &= bool(np.all((gap_x <= 0) & (gap_y <= 0)))
     delta_floor_ok = bool(np.all(wd.delta >= ps.delta / 20.0))
     return {
         "ok": small and parent_big and ratio_ok and touch_ok and delta_floor_ok

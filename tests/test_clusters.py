@@ -3,6 +3,7 @@ import pytest
 
 from treeplane import WeightedTree, random_tree
 from treeplane.embedding import build_planar_set
+from treeplane.suite import canonical, instance_geometry
 from treeplane.whitney import TYPE_II, decompose
 from treeplane.clusters import (ClusterBallError, ClusterTree, assign_clusters,
                                 assign_clusters_naive, auto_k1, build_clusters,
@@ -159,6 +160,46 @@ def test_neighbor_clusters_are_parent_or_equal(medium):
         assert rv[1.5] >= 0.0
         # at p=2 the ratio collapses to a pair count
         assert rv[2.0] == pytest.approx(out["pair_counts"][v])
+
+
+def _pair_sets_full_scan(ct, wd, p_values):
+    """pair_sets over every touching entry, each expanded as (src, dst)."""
+    tree, assign = ct.tree, ct.square_cluster
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    dst = wd.neighbors.astype(np.int64)
+    cs, cd = assign[src], assign[dst]
+    differ = cs != cd
+    child = tree.parent[cs[differ]] == cd[differ]
+    assert np.all(child | (tree.parent[cd[differ]] == cs[differ]))
+    qsel, csel = src[differ][child], cs[differ][child]
+    r_values, pair_count = {}, {}
+    for ci in range(1, tree.n_nodes):
+        mask = csel == ci
+        v = tree.ids[ci]
+        pair_count[v] = int(mask.sum())
+        deltas = wd.delta[qsel[mask]]
+        wc = tree.weights[ci]
+        r_values[v] = {p: float(np.sum(deltas ** (2.0 - p)) / wc ** (2.0 - p))
+                       if mask.any() else 0.0 for p in p_values}
+    return {"R": r_values, "pair_counts": pair_count,
+            "max_R": {p: max(r[p] for r in r_values.values())
+                      for p in p_values}}
+
+
+@pytest.mark.parametrize("name", ["n2d1-tight", "n2d2-loose"])
+def test_pair_sets_on_cross_rows_match_full_scan(name):
+    tree, ps, wd, _ = instance_geometry(canonical(name))
+    ct = build_clusters(tree, ps, kappa=10.25)
+    assign_clusters(ct, wd)
+    assert ct.cross_rows.size < wd.n
+    p_values = (1.25, 1.5, 1.75)
+    want = _pair_sets_full_scan(ct, wd, p_values)
+    assert sum(want["pair_counts"].values()) > 0
+    assert pair_sets(ct, wd, p_values) == want
+    # labels set by hand: the rows come from cross_cluster_rows
+    ct.square_cluster = ct.square_cluster.copy()
+    assert ct.cross_rows is None
+    assert pair_sets(ct, wd, p_values) == want
 
 
 def test_pair_scale_sums_are_moderate(medium):

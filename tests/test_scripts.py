@@ -8,12 +8,12 @@ import sys
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, monkeypatch):
+def run_script(name, argv, monkeypatch, code=0):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
-    assert module.main() == 0
+    assert module.main() == code
 
 
 def read_csv(path):
@@ -44,3 +44,11 @@ def test_sweep_epsilon(tmp_path, monkeypatch):
     # one row per depth-1 epsilon at N = 2
     assert [r[0] for r in rows[1:]] == ["n2d1-tight", "n2d1-mid", "n2d1-loose"]
     assert all(float(r[6]) > 0.0 for r in rows[1:])
+
+
+def test_sweep_epsilon_refuses_unknown_n(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_script("sweep_epsilon", ["--N", "5", "--p", "1.5", "--trials", "1",
+                                 "--out", "tmp"], monkeypatch, code=2)
+    assert "available N: [2, 3]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

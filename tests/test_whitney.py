@@ -1,9 +1,13 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from treeplane import WeightedTree, random_tree
+from treeplane import WeightedTree, random_tree, whitney
+from treeplane.clusters import assign_clusters, build_clusters, pair_sets
 from treeplane.embedding import PlanarSet, build_planar_set
-from treeplane.suite import canonical, instance_geometry
+from treeplane.suite import canonical, instance_geometry, instance_tree
 from treeplane.whitney import (DyadicSquare, Q0_HI, Q0_LO, Q0_SIDE, REL_TOL,
                                TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
@@ -92,6 +96,40 @@ def test_cz_lemma_fields(coarse, medium):
         assert rep["max_neighbors"] <= 12
 
 
+def test_cz_report_independent_of_row_chunks(monkeypatch):
+    _, _, wd, _ = instance_geometry(canonical("n2d2-loose"))
+    want = verify_cz(wd)
+    assert wd.n > 100 * 1000
+    monkeypatch.setattr(whitney, "VERIFY_CHUNK", 1000)
+    assert verify_cz(wd) == want
+
+
+@pytest.mark.parametrize("chunk", [0, 1, -1])
+@pytest.mark.parametrize("end", [0, -1])
+def test_cz_chunks_see_every_row(medium, monkeypatch, chunk, end):
+    # a square two levels off planted in one touching list fails both pair
+    # checks, at the first and the last row of a chunk that can hold it
+    _, wd = medium
+    monkeypatch.setattr(whitney, "VERIFY_CHUNK", 1000)
+    n_chunks = -(-wd.n // 1000)
+    assert n_chunks >= 3 and wd.n % 1000 != 0
+    lo = 1000 * (chunk % n_chunks)
+    rows = range(lo, min(lo + 1000, wd.n))
+    for row in (rows if end == 0 else reversed(rows)):
+        gap = np.abs(wd.levels[row + 1:] - wd.levels[row])
+        if gap.size and gap.max() > 1:
+            far = row + 1 + int(np.argmax(gap))
+            break
+    else:
+        pytest.fail("no row of the chunk has a later square two levels off")
+    bad = copy.copy(wd)
+    bad.neighbors = wd.neighbors.copy()
+    bad.neighbors[wd.neighbors_indptr[row + 1] - 1] = far
+    rep = verify_cz(bad)
+    assert not rep["ok"]
+    assert not rep["neighbor_touch_ok"] and not rep["neighbor_ratio_ok"]
+
+
 # -- neighbors ----------------------------------------------------------------
 
 def test_neighbors_include_self(coarse):
@@ -115,6 +153,13 @@ def test_uniform_grid_interior_has_nine():
     assert counts[corner] == [4]
     edge = (wd.ixs == 0) & (wd.iys == 3)
     assert counts[edge] == [6]
+
+
+def test_touching_lists_are_int32(coarse, medium):
+    for _, wd in (coarse, medium, (None, uniform_grid(3))):
+        assert wd.neighbors.dtype == np.int32
+        assert wd.neighbors_indptr[0] == 0
+        assert wd.neighbors_indptr[-1] == wd.neighbors.size
 
 
 def test_neighbors_match_dilate_oracle(coarse, medium):
@@ -738,3 +783,33 @@ def test_pou_table_takes_known_home_rows(medium):
         assert np.array_equal(got, want)
     for got, want in zip(pou_table(wd, pts, home), pou_table(wd, pts)):
         assert np.array_equal(got, want)
+
+
+# -- memory -------------------------------------------------------------------
+
+def test_touching_graph_memory_budget():
+    """Traced peaks per square on a fresh n2d2-loose build.  Expanding every
+    touching entry as an int64 (src, dst) pair costs about 546, 282 and 225
+    B/square at these three stages; the int32 lists from one in-place key
+    sort, the row chunks of `verify_cz` and `pair_sets` on the cluster
+    boundary rows take about 303, 121 and 1."""
+    tree = instance_tree(canonical("n2d2-loose"))
+    ps = build_planar_set(tree)
+    ct = build_clusters(tree, ps, kappa=10.25)
+    tracemalloc.start()
+    try:
+        def extra(fn):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - held
+        wd, decompose_peak = extra(lambda: decompose(ps))
+        _, cz_peak = extra(lambda: verify_cz(wd))
+        assign_clusters(ct, wd)
+        _, pair_peak = extra(lambda: pair_sets(ct, wd))
+    finally:
+        tracemalloc.stop()
+    assert wd.n == 262_333
+    assert decompose_peak / wd.n < 420
+    assert cz_peak / wd.n < 200
+    assert pair_peak / wd.n < 100
