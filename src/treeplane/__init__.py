@@ -17,21 +17,19 @@ from .tree_core import (LeafFunction, NodeFunction, TreeStructureError,
                         WeightedTree, edge_energy, lca, random_tree,
                         seminorm_tree, validate)
 from .tree_extension import (ExtensionSolveError, averaging_extension,
-                             brute_force_extension, estimate_operator_norm,
-                             harmonic_extension_p2, optimal_extension,
-                             trace_seminorm)
-from .whitney import (WhitneyCapError, WhitneyDecomposition, decompose,
-                      decompose_naive)
+                             estimate_operator_norm, harmonic_extension_p2,
+                             optimal_extension, trace_seminorm)
+from .whitney import WhitneyCapError, WhitneyDecomposition, decompose
 
 __all__ = [
     "WeightedTree", "NodeFunction", "LeafFunction", "TreeStructureError",
     "edge_energy", "seminorm_tree", "lca", "random_tree", "validate",
     "optimal_extension", "harmonic_extension_p2", "averaging_extension",
-    "brute_force_extension", "trace_seminorm", "estimate_operator_norm",
+    "trace_seminorm", "estimate_operator_norm",
     "ExtensionSolveError",
     "PlanarSet", "build_planar_set", "psi", "psi_all",
     "verify_lemma_psi", "verify_lemma_sep", "PlanarGeometryError",
-    "WhitneyDecomposition", "decompose", "decompose_naive", "WhitneyCapError",
+    "WhitneyDecomposition", "decompose", "WhitneyCapError",
     "ClusterTree", "build_clusters", "assign_clusters", "pair_sets",
     "ClusterBallError",
     "AffinePolynomial", "PatchedInterpolant",

@@ -17,8 +17,9 @@ panels reached per level difference and offset, and each block is
 integrated with only those squares.  They differ in the profiles alone.
 The direct quadrature evaluates them in floats at the block's nodes in the
 frame, as the point evaluator does, which keeps it within rounding of the
-pointwise oracle at any depth; the edge weights read them from the table,
-which keeps a class integral independent of depth.
+pointwise oracle in `treeplane.oracles` at any depth; the edge weights
+read them from the table, which keeps a class integral independent of
+depth.
 
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
@@ -44,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterTree, cross_cluster_rows
+from .clusters import ClusterTree
 from .interpolant import (PatchedInterpolant, _differing_pairs,
                           affine_through)
 from .whitney import _profile, e2_anchor_indices
 
-QUAD_CHUNK = 400_000
 # nodes per batch of panel blocks: each field of a batch stays in cache.
 # A (blocks, k, k) float64 field of a full batch is 8 * BLOCK_NODES bytes.
 # From 16_384 (128 KiB, glibc's default mmap threshold) the batch fields
@@ -103,30 +103,6 @@ def _active_rows(F: PatchedInterpolant) -> np.ndarray:
     hit[s] = True
     hit[t] = True
     return np.flatnonzero(hit)
-
-
-def _hess_power_sum_pointwise(F: PatchedInterpolant, rows: np.ndarray,
-                              p: float, order: int) -> float:
-    """Reference path: every node goes through the generic point evaluator."""
-    wd = F.wd
-    gx, gw = _panel_rule(order)
-    per = gx.size * gx.size
-    step = max(1, QUAD_CHUNK // per)
-    total = 0.0
-    for lo in range(0, rows.size, step):
-        R = rows[lo:lo + step]
-        h = 0.5 * wd.delta[R]
-        shape = (R.size, gx.size, gx.size)
-        X = np.broadcast_to(wd.cx[R][:, None, None] +
-                            h[:, None, None] * gx[None, :, None], shape)
-        Y = np.broadcast_to(wd.cy[R][:, None, None] +
-                            h[:, None, None] * gx[None, None, :], shape)
-        W = (gw[:, None] * gw[None, :])[None] * (h ** 2)[:, None, None]
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        H = F.evaluate(pts, order=2)
-        frob = np.sqrt(H[:, 0, 0] ** 2 + 2.0 * H[:, 0, 1] ** 2 + H[:, 1, 1] ** 2)
-        total += float(np.sum(frob ** p * W.ravel()))
-    return total
 
 
 def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +260,7 @@ def _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc, X, da, db, wx, wy,
 def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
                     order: int) -> float:
     """Integral of |Hessian|^p over the given rows (same quantity as the
-    pointwise path).
+    pointwise path, `oracles._hess_power_sum_pointwise`).
 
     The blocks are gathered as for the edge-weight classes: per batch of
     rows, `_reaching_blocks` with the entries whose piece differs from the
@@ -579,7 +555,7 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     configurations, and each block class is integrated once.  Every row
     takes its class integral times delta_row^(2 - p).  The rows come from
     the touching lists of the squares on a cluster boundary, which
-    assign_clusters records (`ct.cross_rows`).
+    `ClusterTree.cross_rows` gives.
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -587,9 +563,7 @@ def edge_weights(wd, ct: ClusterTree, p: float,
         raise ValueError("clusters are not assigned to squares")
     lab = ct.square_cluster.astype(np.int64)
     n = np.int64(ct.n_clusters)
-    R = ct.cross_rows
-    if R is None:    # labels set by hand rather than by assign_clusters
-        R = cross_cluster_rows(wd, lab)
+    R = ct.cross_rows(wd)
     cand, valid = _touching_lists(wd, R)
     nl = lab[cand]
     hit = valid & (nl != lab[R][:, None])

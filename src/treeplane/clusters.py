@@ -43,11 +43,11 @@ class ClusterBallError(RuntimeError):
 class ClusterTree:
     """Clusters indexed like the tree nodes (cluster i = shadow of node i).
 
-    members(i) gives the E2 rows; y[i], radius[i] the ball; square_cluster and
-    cross_rows (the squares whose touching list holds another cluster) are
-    filled by assign_clusters.  Setting square_cluster by hand clears
-    cross_rows, which is derived from it.  kappa and K1 are stored for
-    reporting.
+    members(i) gives the E2 rows; y[i], radius[i] the ball; square_cluster is
+    filled by assign_clusters.  `cross_rows` derives the squares whose
+    touching list holds another cluster from square_cluster and caches
+    them; setting square_cluster clears the cache.  kappa and K1 are stored
+    for reporting.
     """
 
     def __init__(self, tree: WeightedTree, ps: PlanarSet, kappa: float,
@@ -70,7 +70,15 @@ class ClusterTree:
     @square_cluster.setter
     def square_cluster(self, lab: np.ndarray | None) -> None:
         self._square_cluster = lab
-        self.cross_rows = None
+        self._cross_rows = None
+
+    def cross_rows(self, wd: WhitneyDecomposition) -> np.ndarray:
+        """Ascending rows on a cluster boundary under square_cluster
+        (`cross_cluster_rows`), computed on first use and cached until the
+        labels are set again."""
+        if self._cross_rows is None:
+            self._cross_rows = cross_cluster_rows(wd, self.square_cluster)
+        return self._cross_rows
 
     @property
     def n_clusters(self) -> int:
@@ -269,11 +277,10 @@ def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
     """Deepest cluster whose ball contains each square, by root-to-leaf descent.
 
     Stores and returns the array of cluster indices (tree-node rows), and
-    stores the squares on a cluster boundary (`cross_cluster_rows`) as
-    ct.cross_rows.  Raises
-    on descent ambiguity (impossible while same-depth balls are disjoint) and
-    asserts the two pinned cases: Type II squares land on the witness's leaf
-    cluster and frame squares stay at the root.
+    caches the squares on a cluster boundary (`ClusterTree.cross_rows`).
+    Raises on descent ambiguity (impossible while same-depth balls are
+    disjoint) and asserts the two pinned cases: Type II squares land on the
+    witness's leaf cluster and frame squares stay at the root.
     """
     tree = ct.tree
     n = wd.n
@@ -311,28 +318,8 @@ def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
     if not np.all(assign[wd.boundary] == 0):
         raise AssertionError("a frame square left the root cluster")
     ct.square_cluster = assign
-    ct.cross_rows = cross_cluster_rows(wd, assign)
+    ct.cross_rows(wd)    # every reader of the labels reads these rows
     return assign
-
-
-def assign_clusters_naive(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
-    """Deepest containing cluster by scanning every ball, no descent."""
-    tree = ct.tree
-    rows = np.arange(wd.n)
-    best_depth = np.zeros(wd.n, dtype=np.int64)
-    ties = np.zeros(wd.n, dtype=np.int64)
-    out = np.zeros(wd.n, dtype=np.int64)
-    for ci in range(tree.n_nodes):
-        inside = _square_in_ball(wd, rows, ct.y[ci], float(ct.radius[ci]))
-        d = int(tree.depths[ci])
-        deeper = inside & (d > best_depth)
-        ties[inside & (best_depth == d) & (out != ci)] += 1
-        out[deeper] = ci
-        best_depth[deeper] = d
-        ties[deeper] = 0
-    if np.any(ties[best_depth > 0] > 0):
-        raise AssertionError("deepest containing cluster not unique")
-    return out
 
 
 def pair_sets(ct: ClusterTree, wd: WhitneyDecomposition,
@@ -342,17 +329,14 @@ def pair_sets(ct: ClusterTree, wd: WhitneyDecomposition,
 
     Also asserts that every neighboring pair of squares has equal clusters or
     clusters one tree-edge apart.  Only the touching lists of the cluster
-    boundary rows (ct.cross_rows) are read: every pair with two clusters has
-    its source there, in the order of a scan over all rows.
+    boundary rows (`ClusterTree.cross_rows`) are read: every pair with two
+    clusters has its source there, in the order of a scan over all rows.
     """
     if ct.square_cluster is None:
         assign_clusters(ct, wd)
     assign = ct.square_cluster
     tree = ct.tree
-    rows = ct.cross_rows
-    if rows is None:
-        rows = cross_cluster_rows(wd, assign)
-    src, dst = touching_pairs(wd, rows)
+    src, dst = touching_pairs(wd, ct.cross_rows(wd))
     cs, cd = assign[src], assign[dst]
     differ = cs != cd
     par = tree.parent

@@ -8,8 +8,8 @@ by digit/(N-1), so deeper digits move exponentially less and the leaf order is
 preserved.
 
 E1 is arithmetic only; with Delta near the 2^-40 floor the grid would hold ~10^12
-points, so all queries (nearest point, counts in rectangles) are index
-computations and nothing is materialized.
+points, so the decomposition reads it by index computations (counts in
+windows, nearest grid indices) and nothing is materialized.
 """
 
 from __future__ import annotations
@@ -68,43 +68,13 @@ class PlanarSet:
         return self.e2.shape[0]
 
     def e1_points(self) -> np.ndarray:
-        """Materialized grid; refuses above the cap (use the arithmetic queries)."""
+        """Materialized grid; refuses above the cap, where only index
+        arithmetic reads E1."""
         if self.e1_count > E1_MATERIALIZE_CAP:
             raise PlanarGeometryError(
                 f"e1_count = {self.e1_count} exceeds the materialization cap")
         xs = np.arange(self.e1_count) * self.delta
         return np.column_stack([xs, np.zeros_like(xs)])
-
-    def nearest_e1(self, q) -> np.ndarray:
-        """Grid point closest to q; ties broken toward smaller x; clamped to
-        the grid range.  Only the first coordinate of q matters.  A test
-        oracle: the pipeline reads grid points through index arithmetic."""
-        x = float(np.asarray(q, dtype=float).ravel()[0])
-        k = math.ceil(x / self.delta - 0.5)  # round half down
-        k = min(max(k, 0), self.e1_count - 1)
-        return np.array([k * self.delta, 0.0])
-
-    def e1_index_range(self, lo: float, hi: float) -> tuple[int, int]:
-        """Indices k with lo <= k*delta <= hi as a half-open pair (k0, k1).
-
-        Membership is decided on the rounded float k*delta, so counts agree
-        bit for bit with a brute-force scan of the materialized grid.
-        """
-        if hi < lo:
-            return 0, 0
-        k0 = max(0, math.ceil(lo / self.delta) - 2)
-        k1 = min(self.e1_count - 1, math.floor(hi / self.delta) + 2)
-        while k0 <= k1 and k0 * self.delta < lo:
-            k0 += 1
-        while k0 <= k1 and k1 * self.delta > hi:
-            k1 -= 1
-        return (k0, k1 + 1) if k0 <= k1 else (0, 0)
-
-    def count_e1(self, lo: float, hi: float) -> int:
-        """Grid points with lo <= x <= hi.  A test oracle: the
-        decomposition counts with a vectorised form of e1_index_range."""
-        k0, k1 = self.e1_index_range(lo, hi)
-        return k1 - k0
 
     def to_json_dict(self) -> dict:
         return {

@@ -146,7 +146,7 @@ def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
     tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
     one_affine = np.all(a == a[0]) and np.all(b == b[0])
     return PatchedInterpolant(wd, coefs, tail,
-                              ct.cross_rows if one_affine else None)
+                              ct.cross_rows(wd) if one_affine else None)
 
 
 def planar_extend(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,

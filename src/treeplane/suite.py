@@ -19,10 +19,11 @@ import numpy as np
 from .analysis import (GaussianBumpField, ball_estimate_sums, disk_seminorm,
                        patching_constant)
 from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
-                       assign_clusters_naive, build_clusters, pair_sets)
+                       build_clusters, pair_sets)
 from .embedding import build_planar_set, verify_lemma_psi, verify_lemma_sep
 from .operators import (PlanarData, build_geometry, planar_extend,
                         verify_restriction)
+from .oracles import assign_clusters_naive
 from .tree_core import LeafFunction, WeightedTree, random_tree
 from .whitney import (Q0_HI, Q0_LO, WhitneyCapError, decompose, pou_table,
                       verify_basepoints, verify_boundary, verify_cz,
@@ -49,8 +50,12 @@ def _make_registry() -> tuple[Instance, ...]:
     for N in (2, 3):
         for depth in (1, 2, 3):
             for num in EPS_NUMERATORS:
-                # measured square counts: every depth-1 instance is small;
-                # at depth 2 only the listed epsilons stay under the cap
+                # measured square counts: at most 39,499 at depth 1; at
+                # depth 2, 262,333 (n2d2-loose), 632,446 (n3d2-loose) and
+                # 1,637,320 (n2d2-mid).  n3d2-mid has 3,950,926, under
+                # SQUARE_CAP, but is left out (6 s to build, 6 s to check,
+                # 2.3 GB peak); the cap refuses n2d2-tight and n3d2-tight.
+                # Depth 3 is not decomposed.
                 full = depth == 1 or (
                     depth == 2 and (num == 0.05 or (N == 2 and num == 0.02)))
                 seed = 103 if (N == 3 and depth == 1) else 101

@@ -1,5 +1,5 @@
-"""Extension of leaf data to whole trees: optimal p-energy, p=2 linear oracle,
-shadow averaging, and brute-force grid search.
+"""Extension of leaf data to whole trees: optimal p-energy, the p=2 linear
+solve and shadow averaging.
 
 The trace seminorm of leaf data is the infimum of the tree seminorm over all
 extensions; `optimal_extension` computes a minimizer by damped Newton on a
@@ -9,7 +9,7 @@ only non-linear solve in the package.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -212,46 +212,6 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
 def trace_seminorm(tree: WeightedTree, phi, p: float, tol: float = 1e-7) -> float:
     """Infimum of the tree seminorm over extensions of the leaf data."""
     return seminorm_tree(tree, optimal_extension(tree, phi, p, tol=tol), p)
-
-
-def brute_force_extension(tree: WeightedTree, phi, p: float,
-                          grid_radius: float = 1.0,
-                          grid_steps: int = 11) -> NodeFunction:
-    """Exhaustive grid search over the interior values, refined 3 times.
-
-    Only for oracle duty: at most 4 interior nodes.
-    """
-    p = _check_p(p)
-    leaf_vals = _leaf_array(tree, phi)
-    free = np.flatnonzero(~tree.is_leaf)
-    if free.size > 4:
-        raise ValueError(f"{free.size} interior nodes; brute force allows at most 4")
-    vals = np.zeros(tree.n_nodes)
-    for v, x in zip(tree.leaf_ids, leaf_vals):
-        vals[tree.index[v]] = x
-    if free.size == 0:
-        return NodeFunction.from_array(tree, vals)
-    lo = float(leaf_vals.min()) - grid_radius
-    hi = float(leaf_vals.max()) + grid_radius
-    centers = np.full(free.size, (lo + hi) / 2.0)
-    half = np.full(free.size, (hi - lo) / 2.0)
-    w = tree.weights[1:] ** (2.0 - p)
-    par = tree.parent[1:]
-    best = None
-    for _ in range(4):  # initial pass + 3 refinements
-        axes = [np.linspace(c - h, c + h, grid_steps) for c, h in zip(centers, half)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([g.ravel() for g in grids], axis=1)       # (M, k)
-        allv = np.broadcast_to(vals, (flat.shape[0], tree.n_nodes)).copy()
-        allv[:, free] = flat
-        d = allv[:, 1:] - allv[:, par]
-        energy = np.abs(d) ** p @ w
-        k = int(np.argmin(energy))
-        best = flat[k]
-        centers = best
-        half = np.maximum(half * (2.0 / (grid_steps - 1)), 1e-14)
-    vals[free] = best
-    return NodeFunction.from_array(tree, vals)
 
 
 def estimate_operator_norm(tree: WeightedTree,

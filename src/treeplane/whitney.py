@@ -16,7 +16,8 @@ square-square predicates are exact in scaled integers (side * 20 makes the
 boundary: one sweep over vertical face lines finds face and corner contacts,
 one over horizontal face lines finds the remaining face contacts, so each
 touching pair is found exactly once.  That it coincides with "1.1-dilates
-intersect" is rechecked against a brute-force oracle on small instances.
+intersect" is rechecked on small instances against the brute-force
+`treeplane.oracles.neighbors_naive`.
 
 E is never scanned whole.  E1 is counted by arithmetic on its grid.  E2 is
 sorted by x (psi increases along the leaves), so two `searchsorted` calls
@@ -36,9 +37,6 @@ psi algebra.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -68,48 +66,6 @@ class WhitneyCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class DyadicSquare:
-    level: int
-    ix: int
-    iy: int
-
-    @property
-    def delta(self) -> float:
-        return Q0_SIDE * 2.0 ** -self.level
-
-    @property
-    def corner(self) -> tuple[float, float]:
-        d = self.delta
-        return (Q0_LO + self.ix * d, Q0_LO + self.iy * d)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        d = self.delta
-        return (Q0_LO + (self.ix + 0.5) * d, Q0_LO + (self.iy + 0.5) * d)
-
-    def rect(self, r: float = 1.0) -> tuple[float, float, float, float]:
-        """Closed r-dilate as (x0, y0, x1, y1)."""
-        cx, cy = self.center
-        h = 0.5 * r * self.delta
-        return (cx - h, cy - h, cx + h, cy + h)
-
-    def parent(self) -> "DyadicSquare":
-        if self.level == 0:
-            raise ValueError("Q0 has no parent")
-        return DyadicSquare(self.level - 1, self.ix >> 1, self.iy >> 1)
-
-    def children(self) -> list["DyadicSquare"]:
-        lv, ax, ay = self.level + 1, self.ix * 2, self.iy * 2
-        return [DyadicSquare(lv, ax + dx, ay + dy)
-                for dx in (0, 1) for dy in (0, 1)]
-
-    def contains(self, x, y) -> bool:
-        x0, y0 = self.corner
-        d = self.delta
-        return x0 <= x < x0 + d and y0 <= y < y0 + d
-
-
 # -- Morton codes --------------------------------------------------------------
 
 def _spread_bits(v: np.ndarray) -> np.ndarray:
@@ -129,8 +85,10 @@ def _morton(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
 # -- E counting ----------------------------------------------------------------
 
 def _e1_count_interval(ps: PlanarSet, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized #(E1 cap [lo,hi] x {0}) plus the first index, matching
-    PlanarSet.e1_index_range bit for bit (membership judged on float k*delta)."""
+    """Vectorized #(E1 cap [lo,hi] x {0}) plus the first index k0, with
+    membership judged on the rounded float k*delta, so both agree bit for
+    bit with a scan of the materialized grid; k0 is meaningful only where
+    the count is positive."""
     d = ps.delta
     k0 = np.maximum(0, np.ceil(lo / d).astype(np.int64) - 2)
     k1 = np.minimum(ps.e1_count - 1, np.floor(hi / d).astype(np.int64) + 2)
@@ -281,21 +239,6 @@ class WhitneyDecomposition:
 
     # -- lookups ---------------------------------------------------------
 
-    def square(self, row: int) -> DyadicSquare:
-        return DyadicSquare(int(self.levels[row]), int(self.ixs[row]),
-                            int(self.iys[row]))
-
-    def row_of(self, q: DyadicSquare) -> int:
-        if q.level <= self.max_level:
-            code = _morton_padded(np.array([q.level]), np.array([q.ix]),
-                                  np.array([q.iy]), self.max_level)[0]
-            row = int(np.searchsorted(self.morton_starts, code,
-                                      side="right")) - 1
-            if row >= 0 and (self.levels[row], self.ixs[row],
-                             self.iys[row]) == (q.level, q.ix, q.iy):
-                return row
-        raise KeyError(f"square {q} not in the decomposition")
-
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Row of the square containing each point (points must lie in Q0).
 
@@ -324,13 +267,9 @@ class WhitneyDecomposition:
                                              side="right") - 1
         return rows
 
-    def __len__(self) -> int:
-        return self.n
 
-
-def _morton_padded(levels, ixs, iys, max_level=None) -> np.ndarray:
-    L = int(levels.max()) if max_level is None else max_level
-    shift = L - levels.astype(np.int64)
+def _morton_padded(levels, ixs, iys) -> np.ndarray:
+    shift = int(levels.max()) - levels.astype(np.int64)
     return _morton(ixs.astype(np.int64) << shift, iys.astype(np.int64) << shift)
 
 
@@ -512,92 +451,6 @@ def _assign_basepoints(wd: WhitneyDecomposition) -> None:
     wd.kz, wd.kw = kz, kw
 
 
-def neighbors(wd: WhitneyDecomposition, q: DyadicSquare) -> set[DyadicSquare]:
-    """Touching squares of q, including q itself."""
-    row = wd.row_of(q)
-    lo, hi = wd.neighbors_indptr[row], wd.neighbors_indptr[row + 1]
-    return {wd.square(int(r)) for r in wd.neighbors[lo:hi]}
-
-
-def classify(wd: WhitneyDecomposition, q: DyadicSquare):
-    """Type of q: (1, witness E1 point), (2, witness E2 point) or (3, None)."""
-    row = wd.row_of(q)
-    t = int(wd.type_codes[row])
-    if t == TYPE_I:
-        return t, np.array([wd.e1_witness[row] * wd.ps.delta, 0.0])
-    if t == TYPE_II:
-        return t, wd.ps.e2[wd.e2_witness[row]].copy()
-    return t, None
-
-
-def basepoints(wd: WhitneyDecomposition, ps: PlanarSet, q: DyadicSquare):
-    row = wd.row_of(q)
-    return (np.array([wd.kz[row] * ps.delta, 0.0]),
-            np.array([wd.kw[row] * ps.delta, 0.0]))
-
-
-# -- naive oracle ---------------------------------------------------------------
-
-def decompose_naive(ps: PlanarSet, cap: int = 10 ** 5):
-    """Independent recursive enumerator with materialized E1 and brute-force
-    counting.  Returns (squares, types) sorted like the fast path."""
-    pts = np.vstack([ps.e1_points(), ps.e2]) if ps.e1_count else ps.e2
-
-    def count(q: DyadicSquare, r: float) -> int:
-        x0, y0, x1, y1 = q.rect(r)
-        tol = REL_TOL * q.delta
-        m = (pts[:, 0] >= x0 - tol) & (pts[:, 0] <= x1 + tol) & \
-            (pts[:, 1] >= y0 - tol) & (pts[:, 1] <= y1 + tol)
-        return int(m.sum())
-
-    out: list[DyadicSquare] = []
-    stack = [DyadicSquare(0, 0, 0)]
-    while stack:
-        q = stack.pop()
-        if count(q, 3.0) <= 1:
-            out.append(q)
-            if len(out) > cap:
-                raise WhitneyCapError(len(out), cap)
-        else:
-            stack.extend(q.children())
-    levels = np.array([q.level for q in out], dtype=np.int64)
-    ixs = np.array([q.ix for q in out], dtype=np.int64)
-    iys = np.array([q.iy for q in out], dtype=np.int64)
-    order = np.argsort(_morton_padded(levels, ixs, iys), kind="stable")
-    squares = [out[i] for i in order]
-    types = []
-    for q in squares:
-        n1 = count(q, 1.1) - _count_e2_rect(ps, q)
-        n2 = _count_e2_rect(ps, q)
-        types.append(TYPE_I if n1 == 1 else TYPE_II if n2 == 1 else TYPE_III)
-    return squares, types
-
-
-def _count_e2_rect(ps: PlanarSet, q: DyadicSquare) -> int:
-    x0, y0, x1, y1 = q.rect(1.1)
-    tol = REL_TOL * q.delta
-    m = (ps.e2[:, 0] >= x0 - tol) & (ps.e2[:, 0] <= x1 + tol) & \
-        (ps.e2[:, 1] >= y0 - tol) & (ps.e2[:, 1] <= y1 + tol)
-    return int(m.sum())
-
-
-def neighbors_naive(wd: WhitneyDecomposition) -> list[set[int]]:
-    """O(n^2) dilate-intersection test in scaled integers: the 1.1-dilate of a
-    square has corners at (20*ix - 1, 20*ix + 21) in units of side/20."""
-    L = wd.max_level
-    if L > 25:
-        raise ValueError("oracle limited to shallow decompositions")
-    a0 = (20 * wd.ixs - 1) << (L - wd.levels.astype(np.int64))
-    a1 = (20 * wd.ixs + 21) << (L - wd.levels.astype(np.int64))
-    b0 = (20 * wd.iys - 1) << (L - wd.levels.astype(np.int64))
-    b1 = (20 * wd.iys + 21) << (L - wd.levels.astype(np.int64))
-    out = []
-    for i in range(wd.n):
-        hit = (a0 <= a1[i]) & (a0[i] <= a1) & (b0 <= b1[i]) & (b0[i] <= b1)
-        out.append(set(np.flatnonzero(hit).tolist()))
-    return out
-
-
 # -- partition of unity ----------------------------------------------------------
 
 _T0, _T1 = 0.5, 0.55
@@ -716,27 +569,6 @@ def pou_table(wd: WhitneyDecomposition, pts: np.ndarray,
     txy[at] = (pxy / S_ - (px * Sy_ + py * Sx_) / S_ ** 2 - psi * Sxy_ / S_ ** 2
                + 2.0 * psi * Sx_ * Sy_ / S_ ** 3)
     return indptr, sq, th, tx, ty, txx, txy, tyy
-
-
-def pou_eval(wd: WhitneyDecomposition, q: DyadicSquare, x, order: int = 0):
-    """theta_q at one point: value (order 0), gradient (1) or Hessian (2)."""
-    x = np.asarray(x, dtype=float)
-    if not (Q0_LO <= x[0] < Q0_HI and Q0_LO <= x[1] < Q0_HI):
-        raise ValueError(f"point {x.tolist()} outside Q0")
-    row = wd.row_of(q)
-    indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(wd, x[None, :])
-    hit = np.flatnonzero(sq == row)
-    if hit.size == 0:
-        return (0.0 if order == 0 else np.zeros(2) if order == 1
-                else np.zeros((2, 2)))
-    j = int(hit[0])
-    if order == 0:
-        return float(th[j])
-    if order == 1:
-        return np.array([tx[j], ty[j]])
-    if order == 2:
-        return np.array([[txx[j], txy[j]], [txy[j], tyy[j]]])
-    raise ValueError("order must be 0, 1 or 2")
 
 
 # -- geometry verifiers ----------------------------------------------------------

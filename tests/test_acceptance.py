@@ -18,11 +18,10 @@ from treeplane.suite import (CANONICAL, ball_estimate_survey, blend_check,
                              verify_instance)
 from treeplane.tree_core import (LeafFunction, WeightedTree, edge_energy,
                                  random_tree)
-from treeplane.tree_extension import (brute_force_extension,
-                                      harmonic_extension_p2,
-                                      optimal_extension)
+from treeplane.tree_extension import harmonic_extension_p2, optimal_extension
 from treeplane.embedding import build_planar_set
-from treeplane.whitney import decompose, decompose_naive
+from treeplane.oracles import brute_force_extension, decompose_naive
+from treeplane.whitney import decompose
 
 
 def _line(n: int, ok: bool, detail: str) -> None:

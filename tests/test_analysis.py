@@ -7,11 +7,11 @@ from treeplane.whitney import decompose
 from treeplane.clusters import build_clusters
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
-                                _hess_power_sum, _hess_power_sum_pointwise,
-                                _panel_rule, ball_average, ball_estimate_sums,
-                                disk_rule, disk_seminorm, patching_constant,
-                                planar_seminorm)
+                                _hess_power_sum, _panel_rule, ball_average,
+                                ball_estimate_sums, disk_rule, disk_seminorm,
+                                patching_constant, planar_seminorm)
 from treeplane.operators import PlanarData, planar_extend
+from treeplane.oracles import _hess_power_sum_pointwise
 from treeplane.suite import canonical, instance_geometry
 from treeplane.tree_core import LeafFunction
 

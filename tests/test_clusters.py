@@ -6,8 +6,9 @@ from treeplane.embedding import build_planar_set
 from treeplane.suite import canonical, instance_geometry
 from treeplane.whitney import TYPE_II, decompose
 from treeplane.clusters import (ClusterBallError, ClusterTree, assign_clusters,
-                                assign_clusters_naive, auto_k1, build_clusters,
-                                pair_sets, _verify_balls)
+                                auto_k1, build_clusters, pair_sets,
+                                _verify_balls)
+from treeplane.oracles import assign_clusters_naive
 
 
 def depth1_binary(eps=0.01):
@@ -113,20 +114,20 @@ def test_assignment_matches_exhaustive_scan_medium(medium):
 def test_cross_rows_match_touching_list_scan(medium):
     tree, ps, wd = medium
     ct = build_clusters(tree, ps, kappa=10.25)
-    assert ct.cross_rows is None
     lab = assign_clusters(ct, wd)
     ip = wd.neighbors_indptr
     want = [q for q in range(wd.n)
             if np.any(lab[wd.neighbors[ip[q]:ip[q + 1]]] != lab[q])]
     assert len(want) > 0
-    assert np.array_equal(ct.cross_rows, want)
+    rows = ct.cross_rows(wd)
+    assert np.array_equal(rows, want)
+    assert ct.cross_rows(wd) is rows    # computed once
     # labels set by hand drop the rows derived from the old ones
     ct.square_cluster = np.zeros(wd.n, dtype=np.int64)
-    assert ct.cross_rows is None
-    ct.cross_rows = np.arange(3)
+    assert ct.cross_rows(wd).size == 0
     # a second assignment refreshes both
     assert np.array_equal(assign_clusters(ct, wd), lab)
-    assert np.array_equal(ct.cross_rows, want)
+    assert np.array_equal(ct.cross_rows(wd), want)
 
 
 def test_pinned_assignments(medium):
@@ -191,14 +192,14 @@ def test_pair_sets_on_cross_rows_match_full_scan(name):
     tree, ps, wd, _ = instance_geometry(canonical(name))
     ct = build_clusters(tree, ps, kappa=10.25)
     assign_clusters(ct, wd)
-    assert ct.cross_rows.size < wd.n
+    assert ct.cross_rows(wd).size < wd.n
     p_values = (1.25, 1.5, 1.75)
     want = _pair_sets_full_scan(ct, wd, p_values)
     assert sum(want["pair_counts"].values()) > 0
     assert pair_sets(ct, wd, p_values) == want
-    # labels set by hand: the rows come from cross_cluster_rows
+    # labels set by hand: pair_sets derives the rows from them again
     ct.square_cluster = ct.square_cluster.copy()
-    assert ct.cross_rows is None
+    assert ct._cross_rows is None
     assert pair_sets(ct, wd, p_values) == want
 
 

@@ -5,6 +5,7 @@ from treeplane import WeightedTree, random_tree
 from treeplane.embedding import (PlanarGeometryError, PlanarSet,
                                  build_planar_set, psi, psi_all,
                                  verify_lemma_psi, verify_lemma_sep)
+from treeplane.whitney import _e1_count_interval
 
 
 def depth1_binary(eps=0.01):
@@ -87,7 +88,8 @@ def test_e1_never_materialized_above_cap():
     with pytest.raises(PlanarGeometryError, match="cap"):
         ps.e1_points()
     # arithmetic queries keep working
-    assert ps.count_e1(0.0, 1.0) == 10 ** 6 + 1
+    count, k0 = _e1_count_interval(ps, np.array([0.0]), np.array([1.0]))
+    assert (count[0], k0[0]) == (10 ** 6 + 1, 0)
 
 
 def test_export_round_trip(tmp_path):
@@ -101,45 +103,21 @@ def test_export_round_trip(tmp_path):
     assert [r["leaf"] for r in doc["e2"]] == ["0", "1"]
 
 
-# -- nearest_e1 ---------------------------------------------------------------
-
-def test_nearest_e1_examples():
-    ps = build_planar_set(depth1_binary(0.01))
-    assert np.array_equal(ps.nearest_e1((0.0, 0.5)), [0.0, 0.0])
-    assert np.allclose(ps.nearest_e1((0.014, 0.2)), [0.01, 0.0], atol=1e-15)
-    coarse = PlanarSet(delta=0.5, e1_count=4, e2=np.zeros((0, 2)),
-                       leaf_ids=[], leaf_index={})
-    assert np.array_equal(coarse.nearest_e1((3.0, 0.0)), [1.5, 0.0])
-
-
-def test_nearest_e1_tie_breaks_left():
-    ps = PlanarSet(delta=0.5, e1_count=4, e2=np.zeros((0, 2)),
-                   leaf_ids=[], leaf_index={})
-    assert np.array_equal(ps.nearest_e1((0.75, 0.0)), [0.5, 0.0])
-
-
-def test_nearest_e1_matches_brute_force():
-    ps = build_planar_set(depth1_binary(0.01))
-    pts = ps.e1_points()
-    rng = np.random.default_rng(0)
-    for q in rng.uniform(-0.5, 2.5, size=(200, 2)):
-        d = np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
-        best = np.flatnonzero(d == d.min()).min()  # ties toward smaller x
-        assert np.array_equal(ps.nearest_e1(q), pts[best])
-
+# -- E1 window counts ---------------------------------------------------------
 
 def test_e1_index_range_matches_scan():
     ps = build_planar_set(depth1_binary(0.01))
     xs = ps.e1_points()[:, 0]
     rng = np.random.default_rng(1)
-    for _ in range(300):
-        lo, hi = np.sort(rng.uniform(-0.2, 2.2, size=2))
-        k0, k1 = ps.e1_index_range(lo, hi)
-        mask = (xs >= lo) & (xs <= hi)
-        assert k1 - k0 == mask.sum()
-        if k1 > k0:
-            assert np.flatnonzero(mask)[0] == k0
-            assert np.flatnonzero(mask)[-1] == k1 - 1
+    lo, hi = np.array([np.sort(rng.uniform(-0.2, 2.2, size=2))
+                       for _ in range(300)]).T
+    count, k0 = _e1_count_interval(ps, lo, hi)
+    for c, k, a, b in zip(count, k0, lo, hi):
+        mask = (xs >= a) & (xs <= b)
+        assert c == mask.sum()
+        if c > 0:
+            assert np.flatnonzero(mask)[0] == k
+    assert 0 < np.count_nonzero(count) < count.size
 
 
 # -- verify_lemma_psi ---------------------------------------------------------

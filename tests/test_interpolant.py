@@ -333,7 +333,7 @@ def test_differing_rows_are_blend_rows(name):
     tree, ps, wd, ct = blend_geometry(name)
     F = lifted_extension(tree, ps, wd, ct, seed=5)
     assert not F.blend.all()
-    assert np.array_equal(np.flatnonzero(F.blend), ct.cross_rows)
+    assert np.array_equal(np.flatnonzero(F.blend), ct.cross_rows(wd))
     s, t = _differing_pairs(F)
     assert s.size > 0
     assert np.all(F.blend[s]) and np.all(F.blend[t])

@@ -423,6 +423,8 @@ def test_edge_weights_mixed_rows_match_planar_seminorm(tri):
     assert r in ew.mixed_rows
     for seed in (2, 3):
         Phi, F = _lifted_interpolant(tree, ps, wd, mixed, seed)
+        # hand-set labels blend on the rows derived from them, too
+        assert np.array_equal(np.flatnonzero(F.blend), mixed.cross_rows(wd))
         _assert_same_seminorm(ew, Phi, F)
 
 

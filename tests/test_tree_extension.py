@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeplane import (ExtensionSolveError, LeafFunction, NodeFunction,
-                       WeightedTree, averaging_extension, brute_force_extension,
+                       WeightedTree, averaging_extension,
                        estimate_operator_norm, harmonic_extension_p2,
                        optimal_extension, random_tree, seminorm_tree,
                        trace_seminorm)
@@ -10,6 +10,7 @@ from treeplane import tree_extension
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial
 from treeplane.operators import PlanarData, leaf_slopes
+from treeplane.oracles import brute_force_extension
 from treeplane.suite import canonical, instance_tree
 from treeplane.tree_core import edge_energy
 

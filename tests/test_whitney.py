@@ -7,13 +7,12 @@ import pytest
 from treeplane import WeightedTree, random_tree, whitney
 from treeplane.clusters import assign_clusters, build_clusters, pair_sets
 from treeplane.embedding import PlanarSet, build_planar_set
+from treeplane.oracles import DyadicSquare, decompose_naive, neighbors_naive
 from treeplane.suite import canonical, instance_geometry, instance_tree
-from treeplane.whitney import (DyadicSquare, Q0_HI, Q0_LO, Q0_SIDE, REL_TOL,
+from treeplane.whitney import (Q0_HI, Q0_LO, Q0_SIDE, REL_TOL,
                                TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
-                               basepoints, classify, decompose,
-                               decompose_naive, e2_anchor_indices, neighbors,
-                               neighbors_naive, pou_eval, pou_table,
+                               decompose, e2_anchor_indices, pou_table,
                                _count_in_dilates, _morton, _psi_terms,
                                active_table, dist_to_e1,
                                verify_basepoints, verify_boundary, verify_cz,
@@ -132,16 +131,11 @@ def test_cz_chunks_see_every_row(medium, monkeypatch, chunk, end):
 
 # -- neighbors ----------------------------------------------------------------
 
-def test_neighbors_include_self(coarse):
-    _, wd = coarse
-    q = wd.square(wd.n // 2)
-    assert q in neighbors(wd, q)
-
-
-def test_neighbors_unknown_square(coarse):
-    _, wd = coarse
-    with pytest.raises(KeyError):
-        neighbors(wd, DyadicSquare(30, 1, 1))
+def test_neighbors_include_self(coarse, medium):
+    for _, wd in (coarse, medium):
+        src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+        own = np.bincount(src[wd.neighbors == src], minlength=wd.n)
+        assert np.all(own == 1)
 
 
 def test_uniform_grid_interior_has_nine():
@@ -180,20 +174,22 @@ def test_types_partition(coarse, medium):
 
 
 def test_classify_witnesses(coarse):
+    # each witness is a point of E in its square's closed 1.1-dilate
     ps, wd = coarse
-    i1 = int(np.flatnonzero(wd.type_codes == TYPE_I)[0])
-    t, witness = classify(wd, wd.square(i1))
-    assert t == TYPE_I
-    assert witness[1] == 0.0
-    k = round(witness[0] / ps.delta)
-    assert witness[0] == k * ps.delta and 0 <= k < ps.e1_count
-    i2 = int(np.flatnonzero(wd.type_codes == TYPE_II)[0])
-    t, witness = classify(wd, wd.square(i2))
-    assert t == TYPE_II
-    assert any(np.array_equal(witness, row) for row in ps.e2)
-    ib = int(np.flatnonzero(wd.boundary)[0])
-    t, witness = classify(wd, wd.square(ib))
-    assert t == TYPE_III and witness is None
+    h = 0.55 * wd.delta + REL_TOL * wd.delta
+    i1 = np.flatnonzero(wd.type_codes == TYPE_I)
+    k = wd.e1_witness[i1]
+    assert i1.size and np.all((0 <= k) & (k < ps.e1_count))
+    assert np.all(np.abs(k * ps.delta - wd.cx[i1]) <= h[i1])
+    assert np.all(np.abs(wd.cy[i1]) <= h[i1])
+    i2 = np.flatnonzero(wd.type_codes == TYPE_II)
+    j = wd.e2_witness[i2]
+    assert i2.size and np.all((0 <= j) & (j < ps.n_e2))
+    assert np.all(np.abs(ps.e2[j, 0] - wd.cx[i2]) <= h[i2])
+    assert np.all(np.abs(ps.e2[j, 1] - wd.cy[i2]) <= h[i2])
+    mb = wd.boundary
+    assert np.all(wd.type_codes[mb] == TYPE_III)
+    assert np.all(wd.e1_witness[mb] == -1) and np.all(wd.e2_witness[mb] == -1)
 
 
 def test_boundary_lemma(coarse, medium):
@@ -213,19 +209,19 @@ def test_dist_bd_reported(coarse, medium):
 # -- basepoints ---------------------------------------------------------------
 
 def test_boundary_basepoints(coarse):
+    # frame squares take the two ends of the grid
     ps, wd = coarse
-    ib = int(np.flatnonzero(wd.boundary)[0])
-    z, w = basepoints(wd, ps, wd.square(ib))
-    assert np.array_equal(z, [0.0, 0.0])
-    assert np.array_equal(w, [(ps.e1_count - 1) * ps.delta, 0.0])
+    mb = wd.boundary
+    assert np.all(wd.kz[mb] == 0)
+    assert np.all(wd.kw[mb] == ps.e1_count - 1)
 
 
 def test_type1_basepoints_adjacent(coarse):
-    ps, wd = coarse
-    for i in np.flatnonzero(wd.type_codes == TYPE_I)[:40]:
-        z, w = basepoints(wd, ps, wd.square(int(i)))
-        assert z[0] == wd.e1_witness[i] * ps.delta
-        assert abs(w[0] - z[0]) == pytest.approx(ps.delta, rel=1e-12)
+    _, wd = coarse
+    i = np.flatnonzero(wd.type_codes == TYPE_I)
+    assert i.size
+    assert np.array_equal(wd.kz[i], wd.e1_witness[i])
+    assert np.all(np.abs(wd.kw[i] - wd.kz[i]) == 1)
 
 
 def test_basepoints_in_50Q(coarse, medium):
@@ -247,6 +243,24 @@ def test_e2_anchor_example():
     assert kw[j] * ps.delta == pytest.approx(0.6, abs=1e-12)
 
 
+def _nearest_grid_index(ps, x):
+    """Brute force over the materialized grid: the E1 index nearest to each
+    x, ties toward smaller x."""
+    d = np.abs(ps.e1_points()[None, :, 0] - x[:, None])
+    return np.argmax(d == d.min(axis=1, keepdims=True), axis=1)
+
+
+def test_e2_anchor_z_is_nearest_grid_index(medium):
+    registry = build_planar_set(instance_tree(canonical("n2d2-loose")))
+    # one E2 point halfway between the grid points 0.5 and 1.0
+    tie = PlanarSet(delta=0.5, e1_count=4, e2=np.array([[0.75, 0.5]]),
+                    leaf_ids=["0"], leaf_index={"0": 0})
+    for ps in (medium[0], registry, tie):
+        kz, _ = e2_anchor_indices(ps)
+        assert np.array_equal(kz, _nearest_grid_index(ps, ps.e2[:, 0]))
+    assert e2_anchor_indices(tie)[0].tolist() == [1]
+
+
 def test_e2_anchor_spread_bound(medium):
     ps, _ = medium
     kz, kw = e2_anchor_indices(ps)
@@ -260,17 +274,11 @@ def test_e2_anchor_spread_bound(medium):
 
 def test_pou_is_one_deep_inside():
     wd = uniform_grid(3)
-    q = DyadicSquare(3, 4, 4)
-    c = np.array(q.center)
-    assert pou_eval(wd, q, c, order=0) == 1.0
-    assert np.array_equal(pou_eval(wd, q, c, order=1), [0.0, 0.0])
-    assert np.array_equal(pou_eval(wd, q, c, order=2), np.zeros((2, 2)))
-
-
-def test_pou_outside_q0():
-    wd = uniform_grid(2)
-    with pytest.raises(ValueError, match="outside"):
-        pou_eval(wd, DyadicSquare(2, 0, 0), (9.0, 0.0))
+    row = int(np.flatnonzero((wd.ixs == 4) & (wd.iys == 4))[0])
+    indptr, sq, th, *derivs = pou_table(wd, [[wd.cx[row], wd.cy[row]]])
+    assert indptr.tolist() == [0, 1] and sq.tolist() == [row]
+    assert th.tolist() == [1.0]
+    assert all(t.tolist() == [0.0] for t in derivs)
 
 
 def test_pou_support_in_dilate(medium):
@@ -312,29 +320,35 @@ def test_pou_active_sets_complete(medium):
         assert set(sq[indptr[k]:indptr[k + 1]].tolist()) == brute
 
 
-def _fd_check(wd, q, pts, h=1e-5):
-    worst_g, worst_h = 0.0, 0.0
-    for x in pts:
-        grad = pou_eval(wd, q, x, order=1)
-        hess = pou_eval(wd, q, x, order=2)
-        fd_g = np.empty(2)
-        fd_h = np.empty((2, 2))
-        for a in range(2):
-            e = np.zeros(2)
-            e[a] = h
-            fp = pou_eval(wd, q, x + e)
-            fm = pou_eval(wd, q, x - e)
-            f0 = pou_eval(wd, q, x)
-            fd_g[a] = (fp - fm) / (2 * h)
-            fd_h[a, a] = (fp - 2 * f0 + fm) / h ** 2
-        exy = np.array([h, h])
-        fpp = pou_eval(wd, q, x + exy)
-        fmm = pou_eval(wd, q, x - exy)
-        fpm = pou_eval(wd, q, x + np.array([h, -h]))
-        fmp = pou_eval(wd, q, x + np.array([-h, h]))
-        fd_h[0, 1] = fd_h[1, 0] = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
-        worst_g = max(worst_g, np.max(np.abs(fd_g - grad) / np.maximum(1.0, np.abs(grad))))
-        worst_h = max(worst_h, np.max(np.abs(fd_h - hess) / np.maximum(1.0, np.abs(hess))))
+def _theta(wd, row, pts):
+    """theta of square row and its derivatives (tx, ty, txx, txy, tyy) at
+    each point, read from pou_table; zero where the square is not active."""
+    indptr, sq, *vals = pou_table(wd, pts)
+    pt = np.repeat(np.arange(pts.shape[0]), np.diff(indptr))
+    hit = sq == row
+    out = np.zeros((6, pts.shape[0]))
+    out[:, pt[hit]] = np.array(vals)[:, hit]
+    return out
+
+
+def _fd_check(wd, row, pts, h=1e-5):
+    f0, tx, ty, txx, txy, tyy = _theta(wd, row, pts)
+    grad = np.column_stack([tx, ty])
+    hess = np.stack([txx, txy, txy, tyy], axis=1).reshape(-1, 2, 2)
+    f = lambda step: _theta(wd, row, pts + np.array(step))[0]
+    fd_g = np.empty((pts.shape[0], 2))
+    fd_h = np.empty((pts.shape[0], 2, 2))
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = h
+        fp, fm = f(e), f(-e)
+        fd_g[:, a] = (fp - fm) / (2 * h)
+        fd_h[:, a, a] = (fp - 2 * f0 + fm) / h ** 2
+    fpp, fmm = f([h, h]), f([-h, -h])
+    fpm, fmp = f([h, -h]), f([-h, h])
+    fd_h[:, 0, 1] = fd_h[:, 1, 0] = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
+    worst_g = np.max(np.abs(fd_g - grad) / np.maximum(1.0, np.abs(grad)))
+    worst_h = np.max(np.abs(fd_h - hess) / np.maximum(1.0, np.abs(hess)))
     return worst_g, worst_h
 
 
@@ -343,15 +357,14 @@ def test_pou_derivatives_match_finite_differences(coarse):
     rng = np.random.default_rng(5)
     rows = rng.choice(wd.n, size=6, replace=False)
     for row in rows:
-        q = wd.square(int(row))
-        cx, cy = q.center
+        cx, cy, d = wd.cx[row], wd.cy[row], wd.delta[row]
         local = np.column_stack([
-            rng.uniform(cx - 0.7 * q.delta, cx + 0.7 * q.delta, 25),
-            rng.uniform(cy - 0.7 * q.delta, cy + 0.7 * q.delta, 25)])
+            rng.uniform(cx - 0.7 * d, cx + 0.7 * d, 25),
+            rng.uniform(cy - 0.7 * d, cy + 0.7 * d, 25)])
         local = local[(np.abs(local[:, 0] + 3) > 1e-3) &
                       (np.abs(local[:, 1] + 3) > 1e-3)]
         local = np.clip(local, -2.999, 4.999)
-        wg, wh = _fd_check(wd, q, local, h=1e-5 * q.delta)
+        wg, wh = _fd_check(wd, row, local, h=1e-5 * d)
         assert wg <= 1e-4, wg
         assert wh <= 1e-4, wh
 
