@@ -4,7 +4,7 @@ on a finite tree and the Sobolev extension problem in the plane."""
 
 from .analysis import (EdgeWeights, GaussianBumpField, ball_average,
                        ball_estimate_sums, disk_seminorm, edge_weights,
-                       patching_constant, planar_seminorm)
+                       planar_seminorm)
 from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
                        build_clusters, pair_sets)
 from .embedding import (PlanarGeometryError, PlanarSet, build_planar_set,
@@ -34,7 +34,7 @@ __all__ = [
     "ClusterBallError",
     "AffinePolynomial", "PatchedInterpolant",
     "planar_seminorm", "disk_seminorm", "ball_average", "ball_estimate_sums",
-    "patching_constant", "GaussianBumpField", "edge_weights", "EdgeWeights",
+    "GaussianBumpField", "edge_weights", "EdgeWeights",
     "PlanarData", "planar_extend", "tree_extend_from_planar",
     "verify_restriction", "norm_ratio_experiment", "write_experiment_csv",
 ]

@@ -24,8 +24,10 @@ depth.
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
 of |jump|^p times a fixed weight.  `edge_weights` integrates those unit
-jumps once (same field algebra, same two orders), and only once per class of
-local configurations, which fix the integral up to the scale delta^(2-p).
+jumps once per geometry, for the ratio experiment and the verifier's
+patching survey alike (same field algebra, same two orders), and only once
+per class of local configurations, which fix the integral up to the scale
+delta^(2-p).
 A class is folded under both mirrors about the square's centre and is
 integrated on the unit square from its integer configuration, with the bump
 profiles read from one table of level differences and offsets; squares
@@ -701,16 +703,3 @@ class GaussianBumpField:
             return out
         raise ValueError("order must be 0, 1 or 2")
 
-
-def patching_constant(F: PatchedInterpolant, p: float,
-                      quad_order: int = 12) -> dict:
-    """Measured ratio of the seminorm's p-th power to the touching-pair sum of
-    sup-norm piece differences (the patching estimate, read as an equality)."""
-    from .interpolant import pair_linf_sum
-    lhs = planar_seminorm(F, p, quad_order=quad_order)[0] ** p
-    rhs, worst = pair_linf_sum(F, p)
-    if rhs == 0.0:
-        c = 0.0 if lhs == 0.0 else float("inf")
-    else:
-        c = lhs / rhs
-    return {"C_meas": c, "lhs": lhs, "rhs": rhs, "max_pair_diff": worst}

@@ -59,18 +59,9 @@ class AffinePolynomial:
     def gradient(self) -> np.ndarray:
         return np.array([self.b, self.c])
 
-    def __add__(self, other: "AffinePolynomial") -> "AffinePolynomial":
-        return AffinePolynomial(self.a + other.a, self.b + other.b,
-                                self.c + other.c)
-
     def __sub__(self, other: "AffinePolynomial") -> "AffinePolynomial":
         return AffinePolynomial(self.a - other.a, self.b - other.b,
                                 self.c - other.c)
-
-    def __mul__(self, s: float) -> "AffinePolynomial":
-        return AffinePolynomial(self.a * s, self.b * s, self.c * s)
-
-    __rmul__ = __mul__
 
     def linf_on_rect(self, x0: float, y0: float, x1: float, y1: float) -> float:
         """Exact sup of |P| over the rectangle: |affine| is convex, so the

@@ -65,11 +65,6 @@ class DyadicSquare:
         return [DyadicSquare(lv, ax + dx, ay + dy)
                 for dx in (0, 1) for dy in (0, 1)]
 
-    def contains(self, x, y) -> bool:
-        x0, y0 = self.corner
-        d = self.delta
-        return x0 <= x < x0 + d and y0 <= y < y0 + d
-
 
 def decompose_naive(ps: PlanarSet, cap: int = 10 ** 5):
     """Independent recursive enumerator with materialized E1 and brute-force

@@ -7,6 +7,8 @@ square count would blow past the decomposition budget (depth-3 trees reach
 Delta ~ 1e-8, i.e. ~1e8 squares), so they get the checks that need no
 decomposition.  `verify_tree` produces the check-by-check report; the
 instance wrappers cache geometry so repeated checks share one decomposition.
+The patching survey reads the seminorm of its lifted fields off edge
+weights integrated once per call, as the ratio experiment does.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import (GaussianBumpField, ball_estimate_sums, disk_seminorm,
-                       patching_constant)
+                       edge_weights)
 from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
                        build_clusters, pair_sets)
 from .embedding import build_planar_set, verify_lemma_psi, verify_lemma_sep
+from .interpolant import pair_linf_sum
 from .operators import (PlanarData, build_geometry, planar_extend,
                         verify_restriction)
 from .oracles import assign_clusters_naive
@@ -150,19 +153,35 @@ def _restriction_check(tree, ps, wd, ct, seed: int) -> dict:
 
 def patching_survey(tree, ps, wd, ct, n_fields: int, seed: int,
                     p: float = 1.5, quad_order: int = 12) -> dict:
-    """C_meas over random piecewise-affine fields from the extension pipeline."""
-    values = []
+    """C_meas over random piecewise-affine fields from the extension pipeline:
+    the seminorm's p-th power over the touching-pair sum of sup-norm piece
+    differences (`pair_linf_sum`), the patching estimate read as an equality.
+
+    The fields extend lifted leaf data, so the seminorm comes from edge
+    weights integrated once per call, with each field's cluster slopes read
+    off its pieces.  C_meas_error is the gap between the ratios at
+    quad_order and at its double that the seminorm's error admits (exact
+    when the coarse order reads higher, else an upper bound).
+    """
+    ew = edge_weights(wd, ct, p, quad_order)
+    values, errors = [], []
     for k in range(n_fields):
         rng = np.random.default_rng([seed, 31, k])
         vals = rng.standard_normal(tree.n_leaves)
         phi = LeafFunction.from_array(tree, vals - vals.mean())
         f = PlanarData.from_leaf_function(tree, ps, phi)
         F = planar_extend(tree, ps, wd, ct, f, p=p, backend="averaging")
-        values.append(patching_constant(F, p, quad_order=quad_order)["C_meas"])
+        Phi = np.zeros(ct.n_clusters)
+        Phi[ct.square_cluster] = F.coefs[:, 2]
+        value, err = ew.seminorm(Phi, F)
+        rhs = pair_linf_sum(F, p)[0]
+        values.append(value ** p / rhs)
+        errors.append(((value + err) ** p - value ** p) / rhs)
     finite = [v for v in values if np.isfinite(v) and v > 0]
     spread = max(finite) / min(finite) if finite else float("nan")
     return {"ok": bool(finite) and all(np.isfinite(values)),
-            "C_meas": values, "spread": float(spread), "p": p}
+            "C_meas": values, "C_meas_error": errors,
+            "spread": float(spread), "p": p}
 
 
 def frame_cover_seminorm(G, p: float, rings: int = 128,

@@ -1,9 +1,10 @@
 """Acceptance gate: six criteria, one test and one printed line each.
 
 The file is meant to run as a whole (`pytest tests/test_acceptance.py -v`);
-geometry is shared through the suite cache and experiment runs are shared
-between criteria 5 and 6, so single-test runs recompute more than they
-must.  Budget is the canonical-suite limit of ten minutes on one core.
+geometry is shared through the suite cache, verification reports between
+criteria 1 and 2, and experiment runs between criteria 5 and 6, so
+single-test runs recompute more than they must.  Budget is the
+canonical-suite limit of ten minutes on one core.
 """
 
 import numpy as np
@@ -35,6 +36,16 @@ def _demeaned(tree, seed: int) -> LeafFunction:
     return LeafFunction.from_array(tree, v - v.mean())
 
 
+# verification reports shared between criteria 1 and 2
+_REP: dict = {}
+
+
+def _report(inst) -> dict:
+    if inst.name not in _REP:
+        _REP[inst.name] = verify_instance(inst)
+    return _REP[inst.name]
+
+
 # experiment runs shared between criteria 5 and 6
 _EXP: dict = {}
 
@@ -52,7 +63,7 @@ def test_criterion_1_exact_lemma_suite():
     failures = []
     n_checks = 0
     for inst in CANONICAL:
-        rep = verify_instance(inst)
+        rep = _report(inst)
         n_checks += len(rep["checks"])
         bad = [k for k, c in rep["checks"].items() if c.get("ok") is False]
         if bad:
@@ -65,7 +76,7 @@ def test_criterion_1_exact_lemma_suite():
 def test_criterion_2_measured_constant_stability():
     ks, neigh, c_meas = [], [], []
     for inst in CANONICAL:
-        consts = verify_instance(inst)["constants"]
+        consts = _report(inst)["constants"]
         ks.append(consts["K_embedding"])
         if consts["max_neighbors"] is not None:
             neigh.append(consts["max_neighbors"])

@@ -9,7 +9,7 @@ from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
                                 _hess_power_sum, _panel_rule, ball_average,
                                 ball_estimate_sums, disk_rule, disk_seminorm,
-                                patching_constant, planar_seminorm)
+                                planar_seminorm)
 from treeplane.operators import PlanarData, planar_extend
 from treeplane.oracles import _hess_power_sum_pointwise
 from treeplane.suite import canonical, instance_geometry
@@ -358,21 +358,3 @@ def test_ball_estimate_sums_bounded_for_smooth_field(small):
     assert np.isfinite(s2) and s2 >= 0
     assert s1 + s2 > 0
 
-
-def test_patching_constant_zero_field(small):
-    tree, ps, wd = small
-    poly = AffinePolynomial(1.0, 1.0, 1.0)
-    coefs = np.tile([poly.a, poly.b, poly.c], (wd.n, 1))
-    F = PatchedInterpolant(wd, coefs, poly)
-    rep = patching_constant(F, 1.5)
-    assert rep["C_meas"] == 0.0
-    assert rep["lhs"] == 0.0
-    assert rep["rhs"] == 0.0
-
-
-def test_patching_constant_finite_for_random_pieces(small):
-    tree, ps, wd = small
-    F = perturbed(wd, seed=14)
-    rep = patching_constant(F, 1.5)
-    assert 0 < rep["C_meas"] < np.inf
-    assert rep["max_pair_diff"] > 0

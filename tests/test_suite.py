@@ -1,13 +1,20 @@
 """Registry shape and the check-runner report contract."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from treeplane import analysis, suite
+from treeplane.analysis import planar_seminorm
+from treeplane.interpolant import pair_linf_sum
+from treeplane.operators import PlanarData, planar_extend
 from treeplane.suite import (CANONICAL, canonical, full_instances,
                              instance_geometry, instance_tree,
-                             scale_sum_survey, verify_instance, verify_tree)
+                             patching_survey, scale_sum_survey,
+                             verify_instance, verify_tree)
+from treeplane.tree_core import LeafFunction
 
 
 def test_registry_shape():
@@ -79,3 +86,69 @@ def test_scale_sum_survey_structure():
     vals = [r["max_R"]["1.5"] for r in surv["rows"].values()]
     assert all(np.isfinite(vals)) and min(vals) > 0
     assert surv["spread"]["1.5"] == pytest.approx(max(vals) / min(vals))
+
+
+def _frame_path_c_meas(tree, ps, wd, ct, n_fields, seed, p=1.5):
+    """C_meas of the survey's seeded fields through the direct seminorm."""
+    out = []
+    for k in range(n_fields):
+        vals = np.random.default_rng([seed, 31, k]).standard_normal(
+            tree.n_leaves)
+        f = PlanarData.from_leaf_function(
+            tree, ps, LeafFunction.from_array(tree, vals - vals.mean()))
+        F = planar_extend(tree, ps, wd, ct, f, p=p, backend="averaging")
+        out.append(planar_seminorm(F, p)[0] ** p / pair_linf_sum(F, p)[0])
+    return out
+
+
+def _with_mixed_row(wd, ct):
+    """ct with one cluster-boundary square relabelled to a third cluster,
+    so that it touches two other clusters."""
+    lab = ct.square_cluster
+    src = np.repeat(np.arange(wd.n), np.diff(wd.neighbors_indptr))
+    r = int(src[lab[wd.neighbors] != lab[src]][0])
+    third = next(c for c in range(ct.n_clusters)
+                 if c != lab[r] and c not in lab[wd.neighbors[src == r]])
+    mixed = copy.copy(ct)
+    mixed.square_cluster = lab.copy()
+    mixed.square_cluster[r] = third
+    return mixed
+
+
+@pytest.mark.parametrize("name,mixed", [("n2d1-tight", False),
+                                        ("n2d2-loose", False),
+                                        ("n2d1-tight", True)])
+def test_patching_survey_matches_planar_seminorm(name, mixed):
+    tree, ps, wd, ct = instance_geometry(canonical(name))
+    if mixed:
+        ct = _with_mixed_row(wd, ct)
+        assert analysis.edge_weights(wd, ct, 1.5).mixed_rows.size
+    got = patching_survey(tree, ps, wd, ct, n_fields=2, seed=0)["C_meas"]
+    want = _frame_path_c_meas(tree, ps, wd, ct, n_fields=2, seed=0)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def test_patching_survey_integrates_once(monkeypatch):
+    calls = {"edge_weights": 0, "_hess_power_sum": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(suite, "edge_weights")
+    counted(analysis, "_hess_power_sum")
+    tree, ps, wd, ct = instance_geometry(canonical("n2d1-tight"))
+    rep = patching_survey(tree, ps, wd, ct, n_fields=2, seed=0)
+    assert rep["ok"] and len(rep["C_meas"]) == 2
+    assert calls == {"edge_weights": 1, "_hess_power_sum": 0}
+
+
+def test_patching_survey_error_estimate():
+    tree, ps, wd, ct = instance_geometry(canonical("n2d1-tight"))
+    rep = patching_survey(tree, ps, wd, ct, n_fields=2, seed=0)
+    for c, err in zip(rep["C_meas"], rep["C_meas_error"], strict=True):
+        assert np.isfinite(err) and 0.0 < err < 0.01 * c
