@@ -11,32 +11,28 @@ edges, so the fields are formed only on the (x-panel, y-panel) blocks that
 the bump of some touching square with a different piece reaches; on every
 other block each difference-weighted blend, and so the Hessian, is an exact
 zero.  About a quarter of the blocks of a boundary square are reached.
-Both quadratures below gather their blocks one way: the blocks, and the
-touching squares whose bumps reach each one, come from a table of the
-panels reached per level difference and offset, and each block is
-integrated with only those squares.  They differ in the profiles alone.
-The direct quadrature evaluates them in floats at the block's nodes in the
-frame, as the point evaluator does, which keeps it within rounding of the
-pointwise oracle in `treeplane.oracles` at any depth; the edge weights
-read them from the table, which keeps a class integral independent of
-depth.
+Both quadratures below gather their blocks one way, once per call for both
+orders: the blocks, and the touching squares whose bumps reach each one,
+come from an order-free table of the panels each bump's support meets, and
+each block is integrated with only those squares.  They differ in the
+profiles alone.  The direct quadrature evaluates them in floats at the
+block's nodes in the frame, as the point evaluator does, which keeps it
+within rounding of the pointwise oracle in `treeplane.oracles` at any
+depth; the edge weights read them from a table per order, which keeps a
+class integral independent of depth.
 
 For lifted leaf data the pieces differ only in their vertical slope, one per
 cluster, so the seminorm to the power p is a sum over touching cluster pairs
 of |jump|^p times a fixed weight.  `edge_weights` integrates those unit
 jumps once per geometry, for the ratio experiment and the verifier's
-patching survey alike (same field algebra, same two orders), and only once
-per class of local configurations, which fix the integral up to the scale
-delta^(2-p).
-A class is folded under both mirrors about the square's centre and is
-integrated on the unit square from its integer configuration, with the bump
-profiles read from one table of level differences and offsets; squares
-touching two or more other clusters stay on the direct quadrature.  The
-unit that is integrated is the panel block, not the square: the integrand
-on a block reads only its panels, the square's height and the touching
-squares whose bumps reach it, and such blocks repeat across
-classes, so each class of blocks, folded under the same mirrors, is
-integrated once and every class sums its blocks.
+patching survey alike, and only once per class of local configurations,
+which fix the integral up to the scale delta^(2-p); squares touching two or
+more other clusters stay on the direct quadrature.  The unit that is
+integrated is the panel block: the integrand on a block reads only its
+panels, the square's height and the touching squares whose bumps reach it,
+so each class of blocks, folded under both mirrors about the square's
+centre, is integrated once per order on the unit square from its integer
+configuration, and every configuration class sums its blocks.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import numpy as np
 from .clusters import ClusterTree
 from .interpolant import (PatchedInterpolant, _differing_pairs,
                           affine_through)
-from .whitney import _profile, e2_anchor_indices
+from .whitney import _T1, _profile, e2_anchor_indices
 
 # nodes per batch of panel blocks: each field of a batch stays in cache.
 # A (blocks, k, k) float64 field of a full batch is 8 * BLOCK_NODES bytes.
@@ -107,18 +103,6 @@ def _active_rows(F: PatchedInterpolant) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def _touching_lists(wd, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Touching lists of rows R padded to a rectangle by repeating their last
-    entry: (cand, valid)."""
-    indptr = wd.neighbors_indptr
-    cnt = indptr[R + 1] - indptr[R]
-    ar = np.arange(int(cnt.max(initial=0)))[None, :]
-    valid = ar < cnt[:, None]
-    cand = wd.neighbors[indptr[R][:, None] + np.minimum(ar, cnt[:, None] - 1)]
-    # int64, as `whitney.touching_pairs` gives: the lists are int32
-    return cand.astype(np.int64), valid
-
-
 def _batches(n: int, per: int, budget: int):
     """Slices of n items of `per` nodes each, at most `budget` nodes to a
     slice (at least one item)."""
@@ -127,10 +111,17 @@ def _batches(n: int, per: int, budget: int):
 
 
 def _touching_offsets(wd, rows: np.ndarray) -> tuple:
-    """Padded touching lists of rows (`_touching_lists`) in integer square
-    coordinates: (cand, dl, ox, oy, valid), with the level difference dl
-    and the centre offsets ox, oy in quarter sides of the row."""
-    cand, valid = _touching_lists(wd, rows)
+    """Touching lists of rows padded to a rectangle by repeating their last
+    entry, in integer square coordinates: (cand, dl, ox, oy, valid), with
+    the level difference dl and the centre offsets ox, oy in quarter sides
+    of the row."""
+    indptr = wd.neighbors_indptr
+    cnt = indptr[rows + 1] - indptr[rows]
+    ar = np.arange(int(cnt.max(initial=0)))[None, :]
+    valid = ar < cnt[:, None]
+    # int64, as `whitney.touching_pairs` gives: the lists are int32
+    cand = wd.neighbors[indptr[rows][:, None] +
+                        np.minimum(ar, cnt[:, None] - 1)].astype(np.int64)
     s = wd.sidei[rows][:, None]
     dside = wd.sidei[cand] - s
     ox = (4 * (wd.x0i[cand] - wd.x0i[rows][:, None]) + 2 * dside) // s
@@ -139,25 +130,36 @@ def _touching_offsets(wd, rows: np.ndarray) -> tuple:
     return cand, dl, ox, oy, valid
 
 
-@functools.lru_cache(maxsize=None)
-def _profile_table(order: int) -> tuple:
-    """Bump profiles (g, g', g'') of every square that can touch a unit
-    square centred at 0, at the panel-rule nodes gx of order, each of shape
-    (3, 13, gx.size) and indexed [dl + 1, o + 6] by level difference and
-    centre offset o in quarter sides; then the panels (3, 13, npan) on
-    which each profile triple has a nonzero value.  Cached read-only.  The
-    touching square has side 2^-dl, so its profile argument is
-    (gx/2 - o/4) * 2^dl, rounded once."""
-    gx = _panel_rule(order)[0]
+def _bump_args(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Profile arguments (3, 13, x.size) at the points x in [-1, 1] of the
+    bump of every square that can touch a unit square centred at 0, indexed
+    [dl + 1, o + 6] by level difference and centre offset o in quarter
+    sides, and the scales 2^dl.  That square has side 2^-dl, so the
+    argument is (x/2 - o/4) * 2^dl."""
     dl = np.arange(-1, 2)[:, None, None]
     o = np.arange(-6, 7)[None, :, None]
     s = np.exp2(dl)
-    g, g1, g2 = _profile((0.5 * gx - 0.25 * o) * s)
-    prof = (g, g1 * s, g2 * (s * s))
-    npan = PANEL_EDGES.size - 1
-    reach = np.logical_or.reduce(
-        [np.any(t.reshape(3, 13, npan, -1) != 0, axis=-1) for t in prof])
-    return _read_only(*prof, reach)
+    return (0.5 * x - 0.25 * o) * s, s
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_reach() -> np.ndarray:
+    """Panels (3, 13, npan) that each bump of `_bump_args` reaches, cached
+    read-only: those whose open span meets the open support |u| < _T1 of
+    the profile, which is exactly zero elsewhere.  No node enters, so one
+    table serves every quadrature order."""
+    u = _bump_args(PANEL_EDGES)[0]
+    return _read_only((u[..., :-1] < _T1) & (u[..., 1:] > -_T1))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_table(order: int) -> tuple:
+    """Bump profiles (g, g', g'') of `_bump_args` at the panel-rule nodes of
+    order, each of shape (3, 13, nodes), cached read-only; each argument
+    is rounded once."""
+    u, s = _bump_args(_panel_rule(order)[0])
+    g, g1, g2 = _profile(u)
+    return _read_only(g, g1 * s, g2 * (s * s))
 
 
 def _active_blocks(differ, xreach, yreach):
@@ -172,7 +174,7 @@ def _active_blocks(differ, xreach, yreach):
     return np.nonzero(hit)
 
 
-def _reaching_blocks(dl, ox, oy, valid, differ, order: int) -> tuple:
+def _reaching_blocks(dl, ox, oy, valid, differ) -> tuple:
     """Active panel blocks of rows with the padded touching lists
     (dl, ox, oy, valid) (`_touching_offsets`), and the entries that reach
     each one: (row, x-panel, y-panel, entry, on).
@@ -183,15 +185,15 @@ def _reaching_blocks(dl, ox, oy, valid, differ, order: int) -> tuple:
     panel edges lie on those support edges, so on any other block every
     difference-weighted blend is a sum of exact zeros, and with it the
     Hessian.  The panels a bump reaches depend only on its level difference
-    and offset, since every node lies strictly inside its panel, so they
-    are read from `_profile_table` at any depth.  An entry reaches the
-    block when its bump does so along both axes; any other entry's bump is
-    exactly zero on the block along one axis, so it adds exact zeros to
-    every field.  entry (blocks, width) indexes the reaching entries of the
-    block's row in touching-list order, padded to the largest count of
-    them; on marks the ones that are not padding.
+    and offset, so they are read from `_panel_reach` at any depth and for
+    every order.  An entry reaches the block when its bump does so along
+    both axes; any other entry's bump is exactly zero on the block along one
+    axis, so it adds exact zeros to every field.  entry (blocks, width)
+    indexes the reaching entries of the block's row in touching-list order,
+    padded to the largest count of them; on marks the ones that are not
+    padding.
     """
-    reach = _profile_table(order)[3]
+    reach = _panel_reach()
     xr, yr = reach[dl + 1, ox + 6], reach[dl + 1, oy + 6]
     b, px, py = _active_blocks(valid & differ, xr, yr)
     near = valid[b] & xr[b, :, px] & yr[b, :, py]
@@ -260,53 +262,57 @@ def _block_power(U, Ux, Uxx, V, Vy, Vyy, Y, dc, X, da, db, wx, wy,
 
 
 def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
-                    order: int) -> float:
-    """Integral of |Hessian|^p over the given rows (same quantity as the
-    pointwise path, `oracles._hess_power_sum_pointwise`).
+                    orders: tuple) -> list[float]:
+    """Integrals of |Hessian|^p over the given rows, one per panel-rule
+    order (same quantity as `oracles._hess_power_sum_pointwise`).
 
-    The blocks are gathered as for the edge-weight classes: per batch of
-    rows, `_reaching_blocks` with the entries whose piece differs from the
-    row's marked.  The bump profiles differ: here they are evaluated in
-    floats at each block's own nodes in the frame, for its reaching entries
-    only, as the point evaluator does.  Profiles read from `_profile_table`
-    round their arguments in the unit square instead, and that moves the
-    sums of general data off the pointwise path by up to 2.2e-12 relative
-    on a depth-1 tree and 9.3e-11 on a depth-2 one, through the steep bump
-    edges; the edge-weight classes take the table so that a class integral
-    does not depend on depth.  Blocks go through `_block_power` in batches
-    of BLOCK_NODES nodes.
+    The blocks are gathered once per batch of rows for all orders, as for
+    the edge-weight classes: `_reaching_blocks` with the entries whose
+    piece differs from the row's marked; only the nodes are per order.  The
+    bump profiles differ: here they are evaluated in floats at each block's
+    own nodes in the frame, for its reaching entries only, as the point
+    evaluator does.  Profiles read from `_profile_table` round their
+    arguments in the unit square instead, and that moves the sums of general
+    data off the pointwise path by up to 2.2e-12 relative on a depth-1 tree
+    and 9.3e-11 on a depth-2 one, through the steep bump edges; the
+    edge-weight classes take the table so that a class integral does not
+    depend on depth.  Rows are batched by the largest order's node count,
+    blocks by BLOCK_NODES nodes (`_block_power`).
     """
     wd, co = F.wd, F.coefs
-    gx, gw = _panel_rule(order)
     npan = PANEL_EDGES.size - 1
-    k = gx.size // npan
-    gp, wp = gx.reshape(npan, k), gw.reshape(npan, k)
-    total = 0.0
-    for sl in _batches(rows.size, gx.size ** 2, 2_000_000):
+    rules = [(gx.reshape(npan, -1), gw.reshape(npan, -1))
+             for gx, gw in map(_panel_rule, orders)]
+    totals = [0.0] * len(rules)
+    per_row = max(gp.size for gp, _ in rules) ** 2
+    for sl in _batches(rows.size, per_row, 2_000_000):
         R = rows[sl]
         cand, dl, ox, oy, valid = _touching_offsets(wd, R)
         differ = np.any(co[cand] != co[R][:, None], axis=2)
-        blocks = _reaching_blocks(dl, ox, oy, valid, differ, order)
-        for bs in _batches(blocks[0].size, k * k, BLOCK_NODES):
-            b, px, py, e, on = (x[bs] for x in blocks)
-            r, c = R[b], cand[b[:, None], e]
-            h = 0.5 * wd.delta[r]
-            xn = wd.cx[r][:, None] + h[:, None] * gp[px]
-            yn = wd.cy[r][:, None] + h[:, None] * gp[py]
-            d = wd.delta[c][:, :, None]
-            gu, gu1, gu2 = _profile((xn[:, None] - wd.cx[c][:, :, None]) / d)
-            gv, gv1, gv2 = _profile((yn[:, None] - wd.cy[c][:, :, None]) / d)
-            m = on[:, :, None]
-            da, db, dc = (co[c, j] - co[r, j][:, None] for j in range(3))
-            X = xn[:, :, None]
-            if not (da.any() or db.any()):
-                da = db = X = None    # lifted data: only c differs
-            per_block = _block_power(gu * m, gu1 * m / d, gu2 * m / d ** 2,
-                                     gv, gv1 / d, gv2 / d ** 2,
-                                     yn[:, None, :], dc, X, da, db,
-                                     wp[px], wp[py], p)
-            total += float(np.sum(per_block * h ** 2))
-    return total
+        blocks = _reaching_blocks(dl, ox, oy, valid, differ)
+        for i, (gp, wp) in enumerate(rules):
+            for bs in _batches(blocks[0].size, wp.shape[1] ** 2, BLOCK_NODES):
+                b, px, py, e, on = (x[bs] for x in blocks)
+                r, c = R[b], cand[b[:, None], e]
+                h = 0.5 * wd.delta[r]
+                xn = wd.cx[r][:, None] + h[:, None] * gp[px]
+                yn = wd.cy[r][:, None] + h[:, None] * gp[py]
+                d = wd.delta[c][:, :, None]
+                gu, gu1, gu2 = _profile((xn[:, None] - wd.cx[c][:, :, None])
+                                        / d)
+                gv, gv1, gv2 = _profile((yn[:, None] - wd.cy[c][:, :, None])
+                                        / d)
+                m = on[:, :, None]
+                da, db, dc = (co[c, j] - co[r, j][:, None] for j in range(3))
+                X = xn[:, :, None]
+                if not (da.any() or db.any()):
+                    da = db = X = None    # lifted data: only c differs
+                per_block = _block_power(gu * m, gu1 * m / d, gu2 * m / d ** 2,
+                                         gv, gv1 / d, gv2 / d ** 2,
+                                         yn[:, None, :], dc, X, da, db,
+                                         wp[px], wp[py], p)
+                totals[i] += float(np.sum(per_block * h ** 2))
+    return totals
 
 
 def _order_doubling_estimate(coarse: float, fine: float, p: float,
@@ -335,8 +341,7 @@ def planar_seminorm(F: PatchedInterpolant, p: float, quad_order: int = 12,
     rows = _active_rows(F)
     if rows.size == 0:
         return 0.0, 0.0
-    coarse = _hess_power_sum(F, rows, p, quad_order)
-    fine = _hess_power_sum(F, rows, p, 2 * quad_order)
+    coarse, fine = _hess_power_sum(F, rows, p, (quad_order, 2 * quad_order))
     return _order_doubling_estimate(coarse, fine, p, refine_tol)
 
 
@@ -353,8 +358,8 @@ class EdgeWeights:
     clusters.  pairs holds cluster rows (a < b); M_coarse and M_fine are the
     weights at quad_order and at 2 * quad_order.  n_rows counts the squares
     with one other cluster, n_classes their configuration classes and
-    n_blocks the classes of panel blocks integrated at the fine order, one
-    integral each (see `edge_weights`); all three are read-only output.
+    n_blocks the classes of panel blocks, one integral each per order (see
+    `edge_weights`); all three are read-only output.
     """
 
     p: float
@@ -373,31 +378,26 @@ class EdgeWeights:
         of lifted leaf data whose clusters carry the vertical slopes Phi; F
         is read only on the mixed rows."""
         jump = np.abs(Phi[self.pairs[:, 0]] - Phi[self.pairs[:, 1]]) ** self.p
-        coarse = float(jump @ self.M_coarse)
-        fine = float(jump @ self.M_fine)
+        coarse, fine = float(jump @ self.M_coarse), float(jump @ self.M_fine)
         if self.mixed_rows.size:
-            coarse += _hess_power_sum(F, self.mixed_rows, self.p,
-                                      self.quad_order)
-            fine += _hess_power_sum(F, self.mixed_rows, self.p,
-                                    2 * self.quad_order)
+            c, f = _hess_power_sum(F, self.mixed_rows, self.p,
+                                   (self.quad_order, 2 * self.quad_order))
+            coarse, fine = coarse + c, fine + f
         return _order_doubling_estimate(coarse, fine, self.p, refine_tol)
 
 
 def _configurations(wd, lab: np.ndarray, rows: np.ndarray) -> tuple:
-    """Local configuration of each row in integer square coordinates:
-    (dl, ox, oy, other, valid, height).
-
-    Along the padded touching list: the level difference dl, the centre
-    offsets ox, oy in quarter sides of the row (`_touching_offsets`), the
-    other-cluster flag and the padding mask valid; then the row's height
-    8 * cy / delta.  A unit jump on the row reads nothing else.
-    """
+    """Padded touching lists cand of rows and the local configuration of
+    each row in integer square coordinates: (cand, (dl, ox, oy, other,
+    valid, height)), with (dl, ox, oy, valid) along cand as in
+    `_touching_offsets`, the other-cluster flag, and the row's height
+    8 * cy / delta.  A unit jump on the row reads nothing else."""
     cand, dl, ox, oy, valid = _touching_offsets(wd, rows)
     other = lab[cand] != lab[rows][:, None]
     # 8 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
     # the way up the frame [-3, 5]
     height = 8 * wd.iys[rows] + 4 - (3 << wd.levels[rows].astype(np.int64))
-    return dl, ox, oy, other, valid, height
+    return cand, (dl, ox, oy, other, valid, height)
 
 
 def _mirror(conf: tuple, sx: int, sy: int) -> tuple:
@@ -463,7 +463,7 @@ def _configuration_classes(conf: tuple) -> tuple[np.ndarray, np.ndarray]:
                             for sx in (1, -1) for sy in (1, -1)])
 
 
-def _class_blocks(conf: tuple, order: int) -> tuple:
+def _class_blocks(conf: tuple) -> tuple:
     """Active panel blocks of the unit jump in each configuration of conf,
     each with the configuration of the touching entries that reach it
     (`_reaching_blocks`, with the other-cluster entries differing):
@@ -474,7 +474,7 @@ def _class_blocks(conf: tuple, order: int) -> tuple:
     ones that are not padding, and height is the row's.
     """
     dl, ox, oy, other, valid, height = conf
-    b, px, py, e, on = _reaching_blocks(dl, ox, oy, valid, other, order)
+    b, px, py, e, on = _reaching_blocks(dl, ox, oy, valid, other)
     r = b[:, None]
     return (b, px, py, dl[r, e], ox[r, e], oy[r, e], other[r, e], on,
             height[b])
@@ -509,7 +509,7 @@ def _blocks_power(blocks: tuple, p: float, order: int) -> np.ndarray:
     gx, gw = _panel_rule(order)
     npan = PANEL_EDGES.size - 1
     k = gx.size // npan
-    table = [t.reshape(3, 13, npan, k) for t in _profile_table(order)[:3]]
+    table = [t.reshape(3, 13, npan, k) for t in _profile_table(order)]
     wp = gw.reshape(npan, k)
     out = []
     for sl in _batches(blocks[0].size, k * k, BLOCK_NODES):
@@ -524,25 +524,25 @@ def _blocks_power(blocks: tuple, p: float, order: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _class_power(conf: tuple, p: float, order: int) -> tuple[np.ndarray, int]:
+def _class_power(conf: tuple, p: float, orders: tuple) -> tuple[list, int]:
     """Integral of |Hessian|^p of the unit jump over a unit square in each
-    configuration of conf (`_configurations`), shape (rows,), and the number
-    of block classes integrated.
+    configuration of conf (`_configurations`), one array of shape (rows,)
+    per panel-rule order, and the number of block classes integrated.
 
     The integral is the sum over the square's active panel blocks
-    (`_class_blocks`), and blocks repeat across configurations: each class
-    of blocks (`_block_classes`) is integrated once, from its first block,
-    with only the entries that reach it.  The profiles come from
-    `_profile_table`, so members of one class get the same integral
-    whatever their depth in the frame.  A square of side delta in that
-    configuration integrates to delta^(2 - p) times this.
+    (`_class_blocks`), which repeat across configurations: they are
+    gathered and classed (`_block_classes`) once, and each class is
+    integrated at every order from its first block, with only the entries
+    that reach it and the profiles of `_profile_table`, whatever its depth.
+    A square of side delta integrates to delta^(2 - p) times this.
     """
-    blocks = _class_blocks(conf, order)
+    blocks = _class_blocks(conf)
     first, cls = _block_classes(blocks)
-    per_block = _blocks_power(tuple(x[first] for x in blocks), p,
-                              order)[cls]
-    return (0.25 * np.bincount(blocks[0], weights=per_block,
-                               minlength=len(conf[0])), int(first.size))
+    heads = tuple(x[first] for x in blocks)
+    return [0.25 * np.bincount(blocks[0],
+                               weights=_blocks_power(heads, p, order)[cls],
+                               minlength=len(conf[0]))
+            for order in orders], int(first.size)
 
 
 def edge_weights(wd, ct: ClusterTree, p: float,
@@ -550,14 +550,15 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     """Unit-jump weights of every touching cluster pair of the assigned
     decomposition (see EdgeWeights), at quad_order and its double.
 
-    The rows with one other cluster fall into configuration classes, folded
-    under both mirrors (`_configuration_classes`).  Each class is integrated
-    on the unit square from its integer configuration (`_class_power`):
-    its active panel blocks fall into block classes across all
-    configurations, and each block class is integrated once.  Every row
-    takes its class integral times delta_row^(2 - p).  The rows come from
-    the touching lists of the squares on a cluster boundary, which
-    `ClusterTree.cross_rows` gives.
+    The rows come from the touching lists of the squares on a cluster
+    boundary, which `ClusterTree.cross_rows` gives; those lists are gathered
+    once, for the cluster scan and the configurations alike.  The rows with
+    one other cluster fall into configuration classes, folded under both
+    mirrors (`_configuration_classes`).  Each class is integrated on the
+    unit square from its integer configuration (`_class_power`): its active
+    panel blocks fall into block classes across all configurations, and
+    each block class is integrated once per order.  Every row takes its
+    class integral times delta_row^(2 - p).
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -566,30 +567,28 @@ def edge_weights(wd, ct: ClusterTree, p: float,
     lab = ct.square_cluster.astype(np.int64)
     n = np.int64(ct.n_clusters)
     R = ct.cross_rows(wd)
-    cand, valid = _touching_lists(wd, R)
-    nl = lab[cand]
-    hit = valid & (nl != lab[R][:, None])
-    touch = np.unique(np.broadcast_to(R[:, None], hit.shape)[hit] * n + nl[hit])
-    rows, partner = touch // n, touch % n
-    n_other = np.bincount(rows, minlength=wd.n)
-    mixed = np.flatnonzero(n_other >= 2)
-    single = n_other[rows] == 1
-    rows, partner = rows[single], partner[single]
+    cand, conf = _configurations(wd, lab, R)
+    at, j = np.nonzero(conf[4] & conf[3])     # valid entries of another cluster
+    touch = np.unique(at * n + lab[cand[at, j]])
+    at, partner = touch // n, touch % n
+    n_other = np.bincount(at, minlength=R.size)
+    mixed = R[n_other >= 2]
+    single = n_other[at] == 1
+    at, partner = at[single], partner[single]
+    rows = R[at]
     a = np.minimum(lab[rows], partner)
     b = np.maximum(lab[rows], partner)
     keys, pair_of_row = np.unique(a * n + b, return_inverse=True)
-    conf = _configurations(wd, lab, rows)
+    conf = tuple(c[at] for c in conf)
     first, cls = _configuration_classes(conf)
     reps = tuple(c[first] for c in conf)
     scale = wd.delta[rows] ** (2.0 - p)
-    M = []
-    for o in (quad_order, 2 * quad_order):
-        w, n_blocks = _class_power(reps, p, o)
-        M.append(np.bincount(pair_of_row, weights=scale * w[cls],
-                             minlength=keys.size))
+    w, n_blocks = _class_power(reps, p, (quad_order, 2 * quad_order))
+    M_coarse, M_fine = (np.bincount(pair_of_row, weights=scale * wo[cls],
+                                    minlength=keys.size) for wo in w)
     pairs = np.column_stack([keys // n, keys % n])
-    return EdgeWeights(float(p), int(quad_order), pairs, M[0], M[1], mixed,
-                       int(rows.size), int(first.size), n_blocks)
+    return EdgeWeights(float(p), int(quad_order), pairs, M_coarse, M_fine,
+                       mixed, int(rows.size), int(first.size), n_blocks)
 
 
 def disk_rule(center, radius: float, rings: int = 64,

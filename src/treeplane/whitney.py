@@ -670,27 +670,39 @@ def dist_to_e1(ps: PlanarSet, x0, y0, x1, y1):
 
 def verify_dist_bd(wd: WhitneyDecomposition) -> dict:
     """Extremes of side / (Delta + dist(Q, E1)) over all squares, plus
-    side / dist(Q, E) over non-frame Type III squares."""
+    side / dist(Q, E) over non-frame Type III squares, in chunks of
+    VERIFY_CHUNK rows."""
     ps = wd.ps
-    h = 0.5 * wd.delta
-    x0, x1 = wd.cx - h, wd.cx + h
-    y0, y1 = wd.cy - h, wd.cy + h
-    d1 = dist_to_e1(ps, x0, y0, x1, y1)
-    r = wd.delta / (ps.delta + d1)
-    # dist(Q, x) >= its x-gap, so a point of E2 more than d1 away in x
-    # cannot lower min(d1, .): only the points in the widened window count
-    de = d1.copy()
     ex, ey = _e2_sorted(ps)
-    i, j = _e2_candidates(ex, x0 - d1, x1 + d1)
-    dx = np.maximum(0.0, np.maximum(ex[j] - x1[i], x0[i] - ex[j]))
-    dy = np.maximum(0.0, np.maximum(ey[j] - y1[i], y0[i] - ey[j]))
-    np.minimum.at(de, i, np.hypot(dx, dy))
-    m3 = (wd.type_codes == TYPE_III) & ~wd.boundary
-    out = {"ratio_min": float(r.min()), "ratio_max": float(r.max())}
-    if np.any(m3):
-        q = wd.delta[m3] / de[m3]
-        out["type3_ratio_min"] = float(q.min())
-        out["type3_ratio_max"] = float(q.max())
+    r_lo, r_hi, q_lo, q_hi = [], [], [], []
+    for lo in range(0, wd.n, VERIFY_CHUNK):
+        sl = slice(lo, lo + VERIFY_CHUNK)
+        delta = wd.delta[sl]
+        h = 0.5 * delta
+        x0, x1 = wd.cx[sl] - h, wd.cx[sl] + h
+        y0, y1 = wd.cy[sl] - h, wd.cy[sl] + h
+        d1 = dist_to_e1(ps, x0, y0, x1, y1)
+        r = delta / (ps.delta + d1)
+        r_lo.append(r.min())
+        r_hi.append(r.max())
+        m3 = np.flatnonzero((wd.type_codes[sl] == TYPE_III) & ~wd.boundary[sl])
+        if m3.size == 0:
+            continue
+        x0, x1, y0, y1, d1 = x0[m3], x1[m3], y0[m3], y1[m3], d1[m3]
+        # dist(Q, x) >= its x-gap, so a point of E2 more than d1 away in x
+        # cannot lower min(d1, .): only the points in the widened window count
+        de = d1.copy()
+        i, j = _e2_candidates(ex, x0 - d1, x1 + d1)
+        dx = np.maximum(0.0, np.maximum(ex[j] - x1[i], x0[i] - ex[j]))
+        dy = np.maximum(0.0, np.maximum(ey[j] - y1[i], y0[i] - ey[j]))
+        np.minimum.at(de, i, np.hypot(dx, dy))
+        q = delta[m3] / de
+        q_lo.append(q.min())
+        q_hi.append(q.max())
+    out = {"ratio_min": float(np.min(r_lo)), "ratio_max": float(np.max(r_hi))}
+    if q_lo:
+        out["type3_ratio_min"] = float(np.min(q_lo))
+        out["type3_ratio_max"] = float(np.max(q_hi))
     out["ok"] = np.isfinite(out["ratio_max"]) and out["ratio_min"] > 0
     return out
 

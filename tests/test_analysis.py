@@ -7,9 +7,10 @@ from treeplane.whitney import decompose
 from treeplane.clusters import build_clusters
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
-                                _hess_power_sum, _panel_rule, ball_average,
+                                _hess_power_sum, _panel_reach, _panel_rule,
+                                _profile_table, ball_average,
                                 ball_estimate_sums, disk_rule, disk_seminorm,
-                                planar_seminorm)
+                                edge_weights, planar_seminorm)
 from treeplane.operators import PlanarData, planar_extend
 from treeplane.oracles import _hess_power_sum_pointwise
 from treeplane.suite import canonical, instance_geometry
@@ -106,14 +107,15 @@ def test_fast_and_pointwise_power_sums_agree(name, small):
     assert rows.size > 0
     for p in (1.25, 1.5, 2.0):
         a = _hess_power_sum_pointwise(F, rows, p, 8)
-        b = _hess_power_sum(F, rows, p, 8)
+        (b,) = _hess_power_sum(F, rows, p, (8,))
         assert b == pytest.approx(a, rel=1e-12)
     coefs = F.coefs.copy()
     coefs[:, 2] = F.tail.c
     G = PatchedInterpolant(wd, coefs, F.tail)
     a = _hess_power_sum_pointwise(G, rows, 1.5, 8)
     assert a > 0.0
-    assert _hess_power_sum(G, rows, 1.5, 8) == pytest.approx(a, rel=1e-12)
+    (b,) = _hess_power_sum(G, rows, 1.5, (8,))
+    assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_power_sum_matches_midpoint_grid_per_square(small):
@@ -151,7 +153,8 @@ def test_power_sum_matches_midpoint_grid_per_square(small):
 @pytest.mark.parametrize("field", ["lifted", "perturbed"])
 def test_skipped_blocks_have_zero_hessian(field, small, lifted, monkeypatch):
     """Every node of a panel block the kernel leaves out has Hessian exactly
-    0 under the generic point evaluator."""
+    0 under the generic point evaluator, at both orders of one call and at
+    the lowest order, 4."""
     F = lifted[1] if field == "lifted" else perturbed(small[2], seed=3)
     wd = F.wd
     rows = np.sort(np.random.default_rng(6).choice(_active_rows(F), size=3,
@@ -160,24 +163,68 @@ def test_skipped_blocks_have_zero_hessian(field, small, lifted, monkeypatch):
     blocks = analysis._active_blocks
     monkeypatch.setattr(analysis, "_active_blocks",
                         lambda *args: seen.append(blocks(*args)) or seen[-1])
-    assert _hess_power_sum(F, rows, 1.5, 12) > 0.0
-    (b, px, py), = seen
     npan = PANEL_EDGES.size - 1
-    active = np.zeros((rows.size, npan, npan), dtype=bool)
-    active[b, px, py] = True
-    assert active.any(axis=(1, 2)).all() and not active.all()
-    gx, _ = _panel_rule(12)
-    k = gx.size // npan
-    pts = []
-    for i, r in enumerate(rows):
-        h = 0.5 * wd.delta[r]
-        xs = (wd.cx[r] + h * gx).reshape(npan, k)
-        ys = (wd.cy[r] + h * gx).reshape(npan, k)
-        for qx, qy in zip(*np.nonzero(~active[i])):
-            X, Y = np.meshgrid(xs[qx], ys[qy], indexing="ij")
-            pts.append(np.column_stack([X.ravel(), Y.ravel()]))
-    H = F.evaluate(np.vstack(pts), order=2)
-    assert np.all(H == 0.0)
+    for orders in ((12, 24), (4,)):
+        seen.clear()
+        assert all(s > 0.0 for s in _hess_power_sum(F, rows, 1.5, orders))
+        (b, px, py), = seen
+        active = np.zeros((rows.size, npan, npan), dtype=bool)
+        active[b, px, py] = True
+        assert active.any(axis=(1, 2)).all() and not active.all()
+        pts = []
+        for order in orders:
+            gx, _ = _panel_rule(order)
+            k = gx.size // npan
+            for i, r in enumerate(rows):
+                h = 0.5 * wd.delta[r]
+                xs = (wd.cx[r] + h * gx).reshape(npan, k)
+                ys = (wd.cy[r] + h * gx).reshape(npan, k)
+                for qx, qy in zip(*np.nonzero(~active[i])):
+                    X, Y = np.meshgrid(xs[qx], ys[qy], indexing="ij")
+                    pts.append(np.column_stack([X.ravel(), Y.ravel()]))
+        H = F.evaluate(np.vstack(pts), order=2)
+        assert np.all(H == 0.0)
+
+
+def test_panel_reach_is_where_the_profiles_are_nonzero():
+    """The order-free reach table marks exactly the panels on which some
+    tabulated profile is nonzero, from order 8 to 96.  Below order 8 the
+    three or four nodes per panel can miss a reached panel's thin slice of
+    support, and the table holds more: only for equal squares at offset
+    +-2 quarters, where a support edge falls inside a panel, and no touching
+    square has that offset."""
+    reach = _panel_reach()
+    npan = PANEL_EDGES.size - 1
+    for order in range(4, 97):
+        # uncached: the test should not keep 93 tables alive
+        table = _profile_table.__wrapped__(order)
+        nonzero = np.logical_or.reduce(
+            [np.any(t.reshape(3, 13, npan, -1) != 0, axis=-1) for t in table])
+        if order >= 8:
+            assert np.array_equal(reach, nonzero), order
+        else:
+            assert not np.any(nonzero & ~reach), order
+            extra = {(int(d) - 1, int(o) - 6)
+                     for d, o, _ in np.argwhere(reach & ~nonzero)}
+            assert extra <= {(0, -2), (0, 2)}, order
+
+
+def test_each_seminorm_call_gathers_once(small, monkeypatch):
+    """One block gather serves both quadrature orders: `planar_seminorm` on
+    one row batch and `edge_weights` each gather once."""
+    calls = []
+    gather = analysis._reaching_blocks
+    monkeypatch.setattr(analysis, "_reaching_blocks",
+                        lambda *args: calls.append(1) or gather(*args))
+    # one perturbed piece: its square and the touching ones, one row batch
+    F = perturbed(small[2], seed=3, n_pieces=1)
+    assert 0 < _active_rows(F).size <= 13
+    assert planar_seminorm(F, 1.5)[0] > 0.0
+    assert len(calls) == 1
+    calls.clear()
+    tree, ps, wd, ct = instance_geometry(canonical("n2d1-tight"))
+    assert edge_weights(wd, ct, 1.5).n_blocks > 0
+    assert len(calls) == 1
 
 
 def test_lifted_kernel_matches_pointwise_per_row(lifted):
@@ -192,7 +239,8 @@ def test_lifted_kernel_matches_pointwise_per_row(lifted):
     R = np.sort(np.random.default_rng(8).choice(single, size=4,
                                                 replace=False))
     assert np.all(F.coefs[:, :2] == 0.0)
-    got = np.array([_hess_power_sum(F, np.array([r]), 1.5, 12) for r in R])
+    got = np.array([_hess_power_sum(F, np.array([r]), 1.5, (12,))[0]
+                    for r in R])
     want = [_hess_power_sum_pointwise(F, np.array([r]), 1.5, 12) for r in R]
     assert np.all(got > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

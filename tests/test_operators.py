@@ -11,8 +11,8 @@ from treeplane.analysis import (PANEL_EDGES, _active_blocks, _block_classes,
                                 _block_power, _blocks_power, _class_blocks,
                                 _class_power, _configuration_classes,
                                 _configurations, _hess_power_sum, _mirror,
-                                _panel_rule, _profile_table, edge_weights,
-                                planar_seminorm)
+                                _panel_reach, _panel_rule, _profile_table,
+                                edge_weights, planar_seminorm)
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
@@ -323,11 +323,13 @@ def test_edge_weight_classes_match_per_row(name, tri):
     assert set(pairs) == set(index)
     pair_of_row = np.array([index[pq] for pq in pairs])
     jumps = _unit_jumps(wd, lab, [b for _, b in index])
-    for order, got in ((ew.quad_order, ew.M_coarse),
-                       (2 * ew.quad_order, ew.M_fine)):
-        want = [_hess_power_sum(jumps[b], rows[pair_of_row == i], 1.5, order)
-                for (_, b), i in index.items()]
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    orders = (ew.quad_order, 2 * ew.quad_order)
+    want = np.array([_hess_power_sum(jumps[b], rows[pair_of_row == i], 1.5,
+                                     orders)
+                     for (_, b), i in index.items()])
+    for got, want_order in zip((ew.M_coarse, ew.M_fine), want.T,
+                               strict=True):
+        np.testing.assert_allclose(got, want_order, rtol=1e-10, atol=0.0)
 
 
 def test_class_keys_fold_both_mirrors():
@@ -337,7 +339,7 @@ def test_class_keys_fold_both_mirrors():
     tree, ps, wd, ct = instance_geometry(canonical("n2d2-loose"))
     lab = ct.square_cluster.astype(np.int64)
     rows, pairs = _single_other_rows(wd, lab)
-    conf = _configurations(wd, lab, rows)
+    _, conf = _configurations(wd, lab, rows)
     first, _ = _configuration_classes(conf)
     reps = tuple(c[first] for c in conf)
     images = [_mirror(reps, sx, sy) for sx in (1, -1) for sy in (1, -1)]
@@ -345,16 +347,17 @@ def test_class_keys_fold_both_mirrors():
         tuple(np.concatenate(parts) for parts in zip(*images)))
     cls = cls.reshape(4, first.size)
     assert np.all(cls == cls[0]) and np.unique(cls[0]).size == first.size
-    for order in (12, 24):
-        got = [_class_power(key, 1.5, order)[0] for key in images]
-        assert np.all(got[0] > 0.0)
-        for g in got[1:]:
-            np.testing.assert_allclose(g, got[0], rtol=1e-13, atol=0.0)
+    # (image, order, class) at orders 12 and 24
+    got = np.array([_class_power(key, 1.5, (12, 24))[0] for key in images])
+    assert np.all(got[0] > 0.0)
+    for g in got[1:]:
+        np.testing.assert_allclose(g, got[0], rtol=1e-13, atol=0.0)
     R = rows[first]
     jumps = _unit_jumps(wd, lab, [pairs[i][1] for i in first])
-    own = np.array([_hess_power_sum(jumps[pairs[i][1]], rows[i:i + 1], 1.5, 12)
+    own = np.array([_hess_power_sum(jumps[pairs[i][1]], rows[i:i + 1], 1.5,
+                                    (12,))[0]
                     for i in first])
-    np.testing.assert_allclose(_class_power(reps, 1.5, 12)[0],
+    np.testing.assert_allclose(_class_power(reps, 1.5, (12,))[0][0],
                                own / wd.delta[R] ** 0.5, rtol=1e-10, atol=0.0)
 
 
@@ -366,21 +369,27 @@ def test_block_classes_match_blocks(name):
     tree, ps, wd, ct = instance_geometry(canonical(name))
     lab = ct.square_cluster.astype(np.int64)
     rows, _ = _single_other_rows(wd, lab)
-    conf = _configurations(wd, lab, rows)
+    _, conf = _configurations(wd, lab, rows)
     first, _ = _configuration_classes(conf)
     reps = tuple(c[first] for c in conf)
     images = tuple(np.concatenate(parts) for parts in zip(
         *[_mirror(reps, sx, sy) for sx in (1, -1) for sy in (1, -1)]))
     dl, ox, oy, other, valid, height = reps
     npan = PANEL_EDGES.size - 1
-    for order in (12, 24):
+    reach = _panel_reach()
+    # every valid entry of the padded touching list on every active block
+    b, px, py = _active_blocks(valid & other, reach[dl + 1, ox + 6],
+                               reach[dl + 1, oy + 6])
+    got_orders, n_blocks = _class_power(reps, 1.5, (12, 24))
+    blocks = _class_blocks(images)
+    head, cls = _block_classes(blocks)
+    assert head.size == n_blocks
+    assert n_blocks == _block_classes(_class_blocks(reps))[0].size
+    assert head.size < blocks[0].size
+    for order, got in zip((12, 24), got_orders, strict=True):
         gx, gw = _panel_rule(order)
         k = gx.size // npan
-        *table, reach = _profile_table(order)
-        table = [t.reshape(3, 13, npan, k) for t in table]
-        # every valid entry of the padded touching list on every active block
-        b, px, py = _active_blocks(valid & other, reach[dl + 1, ox + 6],
-                                   reach[dl + 1, oy + 6])
+        table = [t.reshape(3, 13, npan, k) for t in _profile_table(order)]
         i, qx, qy = dl[b] + 1, px[:, None], py[:, None]
         U, Ux, Uxx = (t[i, ox[b] + 6, qx] * valid[b][:, :, None]
                       for t in table)
@@ -391,15 +400,9 @@ def test_block_classes_match_blocks(name):
                             other[b].astype(float), None, None, None, wp[px],
                             wp[py], 1.5)
         want = 0.25 * np.bincount(b, weights=each, minlength=first.size)
-        got, n_blocks = _class_power(reps, 1.5, order)
         assert np.all(got > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-        blocks = _class_blocks(images, order)
-        head, cls = _block_classes(blocks)
-        assert head.size == n_blocks
-        assert n_blocks == _block_classes(_class_blocks(reps, order))[0].size
-        assert head.size < blocks[0].size
         each = _blocks_power(blocks, 1.5, order)
         assert np.all(each[head] > 0.0)
         np.testing.assert_allclose(each, each[head][cls], rtol=1e-13,
