@@ -33,6 +33,13 @@ panels, the square's height and the touching squares whose bumps reach it,
 so each class of blocks, folded under both mirrors about the square's
 centre, is integrated once per order on the unit square from its integer
 configuration, and every configuration class sums its blocks.
+
+Every disk average goes through `ball_average`, which reads k disks at once:
+each scales one cached unit-disk rule, and the nodes of consecutive disks go
+to the field's `evaluate` together, at most DISK_NODES per call.  The
+ball-estimate sums read every cluster ball with one call, and every leaf's
+three-point jet with `whitney.jet_slopes`, the formula the operators use to
+read leaf slopes off planar data.
 """
 
 from __future__ import annotations
@@ -44,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterTree
-from .interpolant import (PatchedInterpolant, _differing_pairs,
-                          affine_through)
-from .whitney import _T1, _profile, e2_anchor_indices
+from .interpolant import PatchedInterpolant, _differing_pairs
+from .whitney import _T1, _profile, jet_slopes
 
 # nodes per batch of panel blocks: each field of a batch stays in cache.
 # A (blocks, k, k) float64 field of a full batch is 8 * BLOCK_NODES bytes.
@@ -56,6 +62,11 @@ from .whitney import _T1, _profile, e2_anchor_indices
 # depends on which arrays the process freed before: a ratio trial took
 # thousands of faults per call at 16_384 and about one at 8_192.
 BLOCK_NODES = 8_192
+# disk nodes per field evaluation of a batched disk average: bounds the
+# (nodes, bumps) temporaries of a field.  One verifier disk (128 x 256)
+# fills a batch, so no call is larger than a one-disk call; four read-back
+# disks (64 x 128) share one.
+DISK_NODES = 32_768
 
 # Span [-1, 1] split where the blend changes analytic form.  Touching squares
 # come in sizes half/equal/double at dyadic positions, so their bump bands
@@ -591,38 +602,53 @@ def edge_weights(wd, ct: ClusterTree, p: float,
                        mixed, int(rows.size), int(first.size), n_blocks)
 
 
-def disk_rule(center, radius: float, rings: int = 64,
-              angles: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating over the disk (weights sum to its area).
-    Gauss on the radius, uniform on the angle: exact for polynomials of
-    moderate degree and for every trigonometric mode below the angle count."""
+@functools.lru_cache(maxsize=None)
+def _unit_disk(rings: int, angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the unit-disk rule, cached read-only: Gauss on
+    the radius, uniform on the angle (weights sum to pi)."""
     if rings < 4 or angles < 4:
         raise ValueError("rings and angles must be at least 4")
     t, wt = _gl(rings)
-    r = 0.5 * radius * (t + 1.0)
-    wr = 0.5 * radius * wt * r
+    r = 0.5 * (t + 1.0)
     th = 2.0 * np.pi * np.arange(angles) / angles
-    wa = 2.0 * np.pi / angles
-    X = center[0] + r[:, None] * np.cos(th)[None, :]
-    Y = center[1] + r[:, None] * np.sin(th)[None, :]
-    wgt = (wr[:, None] * wa) * np.ones((1, angles))
-    return np.column_stack([X.ravel(), Y.ravel()]), wgt.ravel()
+    pts = np.stack([r[:, None] * np.cos(th), r[:, None] * np.sin(th)], axis=-1)
+    wgt = np.repeat(0.5 * wt * r * (2.0 * np.pi / angles), angles)
+    return _read_only(pts.reshape(-1, 2), wgt)
 
 
-def ball_average(F, center, radius: float, deriv: int = 2, rings: int = 64,
-                 angles: int = 128) -> float:
-    """Mean of a first derivative of F over a closed disk."""
-    if deriv not in (1, 2):
-        raise ValueError("deriv selects a first derivative: 1 or 2")
-    pts, wgt = disk_rule(np.asarray(center, dtype=float), radius, rings, angles)
-    g = F.evaluate(pts, order=1)
-    return float(np.sum(g[:, deriv - 1] * wgt) / (np.pi * radius ** 2))
+def disk_rule(center, radius: float, rings: int = 64,
+              angles: int = 128) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights integrating over the disk (weights sum to its area):
+    the unit-disk rule scaled.  Exact for polynomials of moderate degree and
+    for every trigonometric mode below the angle count."""
+    pts, wgt = _unit_disk(rings, angles)
+    return np.asarray(center, dtype=float) + radius * pts, radius ** 2 * wgt
+
+
+def ball_average(F, centers, radii, rings: int = 64,
+                 angles: int = 128) -> np.ndarray:
+    """Means of the vertical derivative of F over k closed disks, given by
+    (k, 2) centres and (k,) radii.  Every disk scales the one unit-disk rule;
+    the nodes of consecutive disks go to F.evaluate together, at most
+    DISK_NODES per call, or one disk per call when a disk has more."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or centers.shape != (radii.size, 2):
+        raise ValueError("centers must be (k, 2) and radii (k,)")
+    pts, wgt = _unit_disk(rings, angles)
+    per = max(1, DISK_NODES // wgt.size)
+    out = np.empty(radii.size)
+    for s in range(0, radii.size, per):
+        nodes = centers[s:s + per, None] + radii[s:s + per, None, None] * pts
+        g = F.evaluate(nodes.reshape(-1, 2), order=1)[:, 1]
+        out[s:s + per] = g.reshape(-1, wgt.size) @ wgt / np.pi
+    return out
 
 
 def disk_seminorm(F, center, radius: float, p: float, rings: int = 64,
                   angles: int = 128) -> float:
     """Seminorm of F over a disk (same integrand as planar_seminorm)."""
-    pts, wgt = disk_rule(np.asarray(center, dtype=float), radius, rings, angles)
+    pts, wgt = disk_rule(center, radius, rings, angles)
     H = F.evaluate(pts, order=2)
     frob = np.sqrt(H[:, 0, 0] ** 2 + 2.0 * H[:, 0, 1] ** 2 + H[:, 1, 1] ** 2)
     return float(np.sum(frob ** p * wgt)) ** (1.0 / p)
@@ -635,28 +661,21 @@ def ball_estimate_sums(ct: ClusterTree, G, p: float, rings: int = 64,
     First: parent jumps of disk averages of the vertical derivative, weighted
     by W^(2-p), over all non-root clusters.  Second: for each leaf cluster,
     the gap between the vertical slope of the three-point jet at its boundary
-    point and the disk average, same weights.
+    point and the disk average, same weights.  Every disk average comes from
+    one ball_average call, every jet slope from `whitney.jet_slopes` on G's
+    values at the E2 points and their grid anchors.
     """
     tree, ps = ct.tree, ct.ps
-    n = ct.n_clusters
-    avg = np.empty(n)
-    for i in range(n):
-        avg[i] = ball_average(G, ct.y[i], float(ct.radius[i]), deriv=2,
-                              rings=rings, angles=angles)
+    avg = ball_average(G, ct.y, ct.radius, rings, angles)
     w = tree.weights
     sum1 = float(np.sum(np.abs(avg[1:] - avg[tree.parent[1:]]) ** p *
                         w[1:] ** (2.0 - p)))
-    kz, kw = e2_anchor_indices(ps)
-    sum2 = 0.0
-    leaf_rows = np.array([tree.index[v] for v in tree.leaf_ids])
-    for j, i in enumerate(leaf_rows):
-        x = ps.e2[j]
-        zp = np.array([kz[j] * ps.delta, 0.0])
-        wp = np.array([kw[j] * ps.delta, 0.0])
-        vals = G.evaluate(np.array([x, zp, wp]), order=0)
-        jet = affine_through(x, zp, wp, vals[0], vals[1], vals[2])
-        sum2 += abs(jet.c - avg[i]) ** p * w[i] ** (2.0 - p)
-    return sum1, float(sum2)
+    slope = jet_slopes(ps, G.evaluate(ps.e2, order=0), lambda k: G.evaluate(
+        np.column_stack([k * ps.delta, np.zeros(k.size)]), order=0))
+    leaf = tree.is_leaf
+    sum2 = float(np.sum(np.abs(slope - avg[leaf]) ** p *
+                        w[leaf] ** (2.0 - p)))
+    return sum1, sum2
 
 
 @dataclass(frozen=True)

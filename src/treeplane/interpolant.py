@@ -29,10 +29,6 @@ import numpy as np
 from .whitney import (Q0_HI, Q0_LO, WhitneyDecomposition, pou_table,
                       touching_pairs)
 
-AREA_TOL = 1e-14
-RESIDUAL_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class AffinePolynomial:
     """P(x) = a + b x1 + c x2."""
@@ -69,25 +65,6 @@ class AffinePolynomial:
         vals = [abs(self.a + self.b * x + self.c * y)
                 for x in (x0, x1) for y in (y0, y1)]
         return max(vals)
-
-
-def affine_through(p1, p2, p3, v1: float, v2: float, v3: float) -> AffinePolynomial:
-    """The affine polynomial matching three values at three points."""
-    P = np.array([p1, p2, p3], dtype=float)
-    v = np.array([v1, v2, v3], dtype=float)
-    d12 = P[1] - P[0]
-    d13 = P[2] - P[0]
-    cross = d12[0] * d13[1] - d12[1] * d13[0]
-    scale = max(np.hypot(*d12), np.hypot(*d13), np.hypot(*(P[2] - P[1])))
-    if abs(cross) <= AREA_TOL * scale ** 2:
-        raise ValueError(f"points {P.tolist()} are colinear")
-    M = np.column_stack([np.ones(3), P])
-    a, b, c = np.linalg.solve(M, v)
-    res = np.abs(M @ np.array([a, b, c]) - v).max()
-    vscale = max(np.abs(v).max(), 1.0)
-    if res > RESIDUAL_TOL * vscale:
-        raise ValueError(f"interpolation residual {res:.3e} too large")
-    return AffinePolynomial(float(a), float(b), float(c))
 
 
 class PatchedInterpolant:

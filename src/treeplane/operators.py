@@ -9,8 +9,9 @@ cluster.  The slopes come from a tree extension backend, "optimal" or
 "averaging", which extends leaf slopes to all clusters.  planar_extend reads
 the leaf slopes off general boundary data on the planar set.
 tree_extend_from_planar goes the other way: it extends the leaf data itself,
-builds the interpolant of its lift, then reads node values back off as disk
-averages of the vertical derivative over the cluster balls.
+builds the interpolant of its lift, then reads every internal node value back
+off in one batched ball_average call, the disk average of the vertical
+derivative over the node's cluster ball.
 norm_ratio_experiment runs both pipelines on random boundary data and reports
 the seminorm ratios: it integrates the edge weights of the planar seminorm
 once per call, solves the tree extension once per trial, and reports the
@@ -21,7 +22,7 @@ backend.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,10 +37,12 @@ from .tree_core import (LeafFunction, NodeFunction, WeightedTree,
                         edge_energy, seminorm_tree)
 from .tree_extension import averaging_extension, optimal_extension
 from .whitney import (SQUARE_CAP, WhitneyDecomposition, decompose,
-                      e2_anchor_indices)
+                      grid_affine, jet_slopes)
 
 CAVEAT = ("ratio stability across instances is the reportable quantity; "
           "the equivalence constant itself is not computable from the proof")
+# disk rule of the read-back from the plane to the tree
+RINGS, ANGLES = 64, 128
 
 
 @dataclass
@@ -47,14 +50,13 @@ class PlanarData:
     """Boundary values: one number per upper point, plus a grid rule.
 
     The grid part is huge and almost never read, so it is stored as either a
-    constant or a callable on the first coordinate, with explicit per-index
-    overrides taking precedence.  Data lifted from leaf slopes keeps those
-    slopes (`lifted`, leaf order), which are its leaf slopes exactly.
+    constant or a callable on the first coordinate.  Data lifted from leaf
+    slopes keeps those slopes (`lifted`, leaf order), which are its leaf
+    slopes exactly.
     """
 
     e2_values: np.ndarray
     e1_rule: float | Callable[[np.ndarray], np.ndarray] = 0.0
-    e1_overrides: dict[int, float] = field(default_factory=dict)
     lifted: np.ndarray | None = None
 
     def __post_init__(self):
@@ -65,12 +67,8 @@ class PlanarData:
         if np.any((k < 0) | (k >= ps.e1_count)):
             raise ValueError("grid index out of range")
         if callable(self.e1_rule):
-            out = np.asarray(self.e1_rule(k * ps.delta), dtype=float)
-        else:
-            out = np.full(k.shape, float(self.e1_rule))
-        for idx, val in self.e1_overrides.items():
-            out[k == idx] = val
-        return out
+            return np.asarray(self.e1_rule(k * ps.delta), dtype=float)
+        return np.full(k.shape, float(self.e1_rule))
 
     @classmethod
     def from_affine(cls, ps: PlanarSet, A: AffinePolynomial) -> "PlanarData":
@@ -106,16 +104,6 @@ def _tree_backend(backend) -> Callable:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _grid_affine(ps: PlanarSet, f: PlanarData, kz: np.ndarray,
-                 kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (a, b) of the horizontal affines a + b x1 through the grid
-    data at each index pair (kz, kw)."""
-    fz = f.e1_values(ps, kz)
-    fw = f.e1_values(ps, kw)
-    b = (fz - fw) / ((kz - kw) * ps.delta)
-    return fz - b * (kz * ps.delta), b
-
-
 def leaf_slopes(ps: PlanarSet, f: PlanarData) -> np.ndarray:
     """Vertical slope of the three-point jet at each upper point: the affine
     through the point and its two grid anchors, differentiated vertically.
@@ -123,8 +111,7 @@ def leaf_slopes(ps: PlanarSet, f: PlanarData) -> np.ndarray:
     recovers only up to the last bit."""
     if f.lifted is not None:
         return f.lifted.copy()
-    a, b = _grid_affine(ps, f, *e2_anchor_indices(ps))
-    return (f.e2_values - a - b * ps.e2[:, 0]) / ps.e2[:, 1]
+    return jet_slopes(ps, f.e2_values, lambda k: f.e1_values(ps, k))
 
 
 def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
@@ -140,7 +127,7 @@ def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
     are handed over as the blend rows.  Otherwise every square blends."""
     if ct.square_cluster is None:
         assign_clusters(ct, wd)
-    a, b = _grid_affine(ps, f, wd.kz, wd.kw)
+    a, b = grid_affine(ps, lambda k: f.e1_values(ps, k), wd.kz, wd.kw)
     coefs = np.column_stack([a, b, Phi[ct.square_cluster]])
     brow = int(np.flatnonzero(wd.boundary)[0])
     tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
@@ -179,44 +166,29 @@ def verify_restriction(F: PatchedInterpolant, ps: PlanarSet, f: PlanarData,
     return {"max_rel_e2": rel2, "max_rel_e1": rel1, "n_e1_sampled": int(k.size)}
 
 
-def _node_values_from_field(tree: WeightedTree, ct: ClusterTree, phi_arr,
-                            F: PatchedInterpolant, rings: int,
-                            angles: int) -> np.ndarray:
-    leaf_rows = np.array([tree.index[v] for v in tree.leaf_ids])
-    out = np.empty(tree.n_nodes)
-    is_leaf = np.zeros(tree.n_nodes, dtype=bool)
-    is_leaf[leaf_rows] = True
-    out[leaf_rows] = phi_arr
-    for i in np.flatnonzero(~is_leaf):
-        try:
-            out[i] = ball_average(F, ct.y[i], float(ct.radius[i]), deriv=2,
-                                  rings=rings, angles=angles)
-        except Exception as exc:
-            raise RuntimeError(
-                f"disk average failed on cluster {tree.ids[i]!r}") from exc
-    return out
-
-
 def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
                             wd: WhitneyDecomposition, ct: ClusterTree,
                             phi: LeafFunction, p: float,
-                            tree_backend="optimal", rings: int = 64,
-                            angles: int = 128) -> NodeFunction:
+                            tree_backend="optimal", rings: int = RINGS,
+                            angles: int = ANGLES) -> NodeFunction:
     """Extend leaf data through the plane: leaves keep their values exactly,
     every internal node gets the disk average of the vertical derivative of
-    the planar extension of the lifted data over its cluster ball.  The tree
+    the planar extension of the lifted data over its cluster ball, all of
+    them from one ball_average call on a rings x angles disk rule.  The tree
     backend extends phi itself, as planar_extend does for its lift."""
     Phi = _tree_backend(tree_backend)(tree, phi, p).to_array(tree)
     F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
                      Phi)
-    vals = _node_values_from_field(tree, ct, phi.to_array(tree), F, rings,
-                                   angles)
+    vals = np.empty(tree.n_nodes)
+    vals[tree.is_leaf] = phi.to_array(tree)
+    inner = ~tree.is_leaf
+    vals[inner] = ball_average(F, ct.y[inner], ct.radius[inner], rings, angles)
     return NodeFunction.from_array(tree, vals)
 
 
 def _run_trial(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
                ct: ClusterTree, ew: EdgeWeights, p: float, seed: int,
-               backend, rings: int, angles: int, t: int) -> dict:
+               backend, t: int) -> dict:
     rng = np.random.default_rng([seed, t])
     while True:
         vals = rng.standard_normal(tree.n_leaves)
@@ -231,7 +203,11 @@ def _run_trial(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
     F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
                      Phi)
     num_plane, quad_err = ew.seminorm(Phi, F)
-    node_vals = _node_values_from_field(tree, ct, vals, F, rings, angles)
+    node_vals = np.empty(tree.n_nodes)
+    node_vals[tree.is_leaf] = vals
+    inner = ~tree.is_leaf
+    node_vals[inner] = ball_average(F, ct.y[inner], ct.radius[inner], RINGS,
+                                    ANGLES)
     num_tree = seminorm_tree(tree, NodeFunction.from_array(tree, node_vals), p)
     return {
         "seed": seed, "trial": t, "N": tree.N, "depth": int(tree.depths.max()),
@@ -265,7 +241,6 @@ def _plane_ratio_bound(tree: WeightedTree,
 def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
                           seed: int, backend="optimal", kappa: float = 10.25,
                           K1: float | None = None, quad_order: int = 12,
-                          rings: int = 64, angles: int = 128,
                           geometry=None) -> dict:
     """Both seminorm ratios over random de-meaned leaf data.
 
@@ -285,8 +260,8 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
         geometry = build_geometry(tree, kappa=kappa, K1=K1)
     ps, wd, ct = geometry
     ew = edge_weights(wd, ct, p, quad_order)
-    rows = [_run_trial(tree, ps, wd, ct, ew, p, seed, backend, rings, angles,
-                       t) for t in range(n_trials)]
+    rows = [_run_trial(tree, ps, wd, ct, ew, p, seed, backend, t)
+            for t in range(n_trials)]
     bound = _plane_ratio_bound(tree, ew) if backend == "optimal" else None
     rp = np.array([r["rho_plane"] for r in rows])
     rt = np.array([r["rho_tree"] for r in rows])

@@ -8,7 +8,9 @@ Delta ~ 1e-8, i.e. ~1e8 squares), so they get the checks that need no
 decomposition.  `verify_tree` produces the check-by-check report; the
 instance wrappers cache geometry so repeated checks share one decomposition.
 The patching survey reads the seminorm of its lifted fields off edge
-weights integrated once per call, as the ratio experiment does.
+weights integrated once per call, as the ratio experiment does.  The
+ball-estimate survey reads all cluster balls of a field with one batched
+disk average, on one fixed disk rule (RINGS x ANGLES).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .whitney import (Q0_HI, Q0_LO, WhitneyCapError, decompose, pou_table,
 
 EPS_NUMERATORS = (0.01, 0.02, 0.05)
 _TAGS = {0.01: "tight", 0.02: "mid", 0.05: "loose"}
+# disk rule of the ball-estimate survey and its frame-cover seminorm
+RINGS, ANGLES = 128, 256
 
 
 @dataclass(frozen=True)
@@ -184,25 +188,25 @@ def patching_survey(tree, ps, wd, ct, n_fields: int, seed: int,
             "spread": float(spread), "p": p}
 
 
-def frame_cover_seminorm(G, p: float, rings: int = 128,
-                         angles: int = 256) -> float:
+def frame_cover_seminorm(G, p: float) -> float:
     """Seminorm of a smooth field over a disk covering the whole frame."""
     center = np.array([0.5 * (Q0_LO + Q0_HI)] * 2)
     radius = 0.5 * (Q0_HI - Q0_LO) * np.sqrt(2.0)
-    return disk_seminorm(G, center, radius, p, rings=rings, angles=angles)
+    return disk_seminorm(G, center, radius, p, rings=RINGS, angles=ANGLES)
 
 
 def ball_estimate_survey(ct: ClusterTree, n_fields: int, seed: int,
-                         p: float = 1.5, rings: int = 128,
-                         angles: int = 256) -> dict:
+                         p: float = 1.5) -> dict:
     """Ratio of the two ball-estimate sums to the field's seminorm p-th power
-    across random Gaussian-bump fields; the construction bounds it above."""
+    across random Gaussian-bump fields; the construction bounds it above.
+    Each field's disk averages over all cluster balls come from one batched
+    ball_average call inside ball_estimate_sums."""
     ratios = []
     for k in range(n_fields):
         rng = np.random.default_rng([seed, 67, k])
         G = GaussianBumpField.random(rng)
-        s1, s2 = ball_estimate_sums(ct, G, p, rings=rings, angles=angles)
-        total = frame_cover_seminorm(G, p, rings=rings, angles=angles) ** p
+        s1, s2 = ball_estimate_sums(ct, G, p, rings=RINGS, angles=ANGLES)
+        total = frame_cover_seminorm(G, p) ** p
         ratios.append(float((s1 + s2) / total) if total > 0 else 0.0)
     return {"ok": all(np.isfinite(ratios)), "ratios": ratios, "p": p}
 
@@ -212,7 +216,7 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
                 p_values=(1.25, 1.5, 1.75), blend_points: int = 10_000,
                 seed: int = 0, n_patch_fields: int = 2,
                 n_ball_fields: int = 2, quad_order: int = 12,
-                rings: int = 128, angles: int = 256, geometry=None) -> dict:
+                geometry=None) -> dict:
     """Run every geometric check the tree admits and report each one.
 
     `geometry` reuses a prebuilt (ps, wd or None, ct) as given; otherwise the
@@ -246,8 +250,8 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
         checks["cluster_balls"] = {"ok": not ct.report["violations"],
                                    **ct.report}
     if ct is not None and n_ball_fields > 0:
-        checks["ball_estimate"] = ball_estimate_survey(
-            ct, n_ball_fields, seed, rings=rings, angles=angles)
+        checks["ball_estimate"] = ball_estimate_survey(ct, n_ball_fields,
+                                                       seed)
     if wd is not None:
         checks["partition"] = verify_partition(wd)
         checks["stopping_rule"] = verify_cz(wd)

@@ -425,6 +425,24 @@ def e2_anchor_indices(ps: PlanarSet) -> tuple[np.ndarray, np.ndarray]:
     return kz, kw
 
 
+def grid_affine(ps: PlanarSet, e1, kz: np.ndarray,
+                kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b) of the horizontal affines a + b x1 through the grid
+    values e1(k) at each index pair (kz, kw); e1 maps grid indices to values."""
+    fz = e1(kz)
+    fw = e1(kw)
+    b = (fz - fw) / ((kz - kw) * ps.delta)
+    return fz - b * (kz * ps.delta), b
+
+
+def jet_slopes(ps: PlanarSet, e2_values: np.ndarray, e1) -> np.ndarray:
+    """Vertical slope of the three-point jet at each E2 point: the affine
+    through the point's value and the grid values e1(k) at its two anchors,
+    differentiated vertically."""
+    a, b = grid_affine(ps, e1, *e2_anchor_indices(ps))
+    return (e2_values - a - b * ps.e2[:, 0]) / ps.e2[:, 1]
+
+
 def _assign_basepoints(wd: WhitneyDecomposition) -> None:
     ps = wd.ps
     d = ps.delta

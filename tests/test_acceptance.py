@@ -136,7 +136,7 @@ def test_criterion_3_oracle_equivalences():
                       PlanarData.from_leaf_function(tree, ps, phi_s), 1.5)
     i = next(j for j in range(1, tree.n_nodes) if not tree.is_leaf[j])
     c, r = ct.y[i], float(ct.radius[i])
-    quad = ball_average(F, c, r, deriv=2, rings=256, angles=512)
+    quad = ball_average(F, c[None], np.array([r]), rings=256, angles=512)[0]
     mc_rng = np.random.default_rng(99)
     n = 10 ** 6
     rad = r * np.sqrt(mc_rng.random(n))

@@ -3,7 +3,7 @@ import pytest
 
 from treeplane import WeightedTree, analysis
 from treeplane.embedding import build_planar_set
-from treeplane.whitney import decompose
+from treeplane.whitney import decompose, e2_anchor_indices
 from treeplane.clusters import build_clusters
 from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
@@ -13,7 +13,7 @@ from treeplane.analysis import (GaussianBumpField, PANEL_EDGES, _active_rows,
                                 edge_weights, planar_seminorm)
 from treeplane.operators import PlanarData, planar_extend
 from treeplane.oracles import _hess_power_sum_pointwise
-from treeplane.suite import canonical, instance_geometry
+from treeplane.suite import CANONICAL, canonical, instance_geometry
 from treeplane.tree_core import LeafFunction
 
 
@@ -308,21 +308,20 @@ def test_disk_rule_integrates_polynomials():
 
 def test_ball_average_affine_exact():
     P = AffinePolynomial(0.3, 1.7, -2.4)
-    for center, r in [((0.0, 0.0), 0.5), ((4.0, -6.0), 11.0), ((1.0, 2.0), 0.01)]:
-        assert ball_average(P, np.array(center), r, deriv=1) == \
-            pytest.approx(1.7, abs=1e-12)
-        assert ball_average(P, np.array(center), r, deriv=2) == \
-            pytest.approx(-2.4, abs=1e-12)
+    centers = np.array([(0.0, 0.0), (4.0, -6.0), (1.0, 2.0)])
+    got = ball_average(P, centers, np.array([0.5, 11.0, 0.01]))
+    assert got.shape == (3,)
+    assert np.allclose(got, -2.4, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="centers"):
+        ball_average(P, centers, np.array([0.5, 11.0]))
 
 
 def test_ball_average_vertical_slope_of_product_field():
     # d2 of x1*x2 is x1, linear, so the disk mean is the center value
     G = ProductField()
     a, b, r = 1.25, -0.5, 0.75
-    got = ball_average(G, np.array([a, b]), r, deriv=2)
-    assert got == pytest.approx(a, abs=1e-12)
-    assert ball_average(G, np.array([a, b]), r, deriv=1) == \
-        pytest.approx(b, abs=1e-12)
+    got = ball_average(G, np.array([[a, b]]), np.array([r]))
+    assert got[0] == pytest.approx(a, abs=1e-12)
 
 
 def test_ball_average_matches_monte_carlo(small):
@@ -332,7 +331,8 @@ def test_ball_average_matches_monte_carlo(small):
     F = perturbed(wd, seed=9)
     center = np.array([1.0, 0.9])
     r = 0.5
-    quad = ball_average(F, center, r, deriv=2, rings=256, angles=256)
+    quad = ball_average(F, center[None], np.array([r]), rings=256,
+                        angles=256)[0]
     rng = np.random.default_rng(10)
     n = 10 ** 6
     u = np.sqrt(rng.uniform(size=n)) * r
@@ -342,6 +342,57 @@ def test_ball_average_matches_monte_carlo(small):
     mc = samples.mean()
     se = samples.std() / np.sqrt(n)
     assert abs(mc - quad) <= max(4 * se, 1e-3 * abs(quad))
+
+
+def _per_disk_averages(F, centers, radii, rings, angles):
+    """One disk_rule and one F.evaluate per disk: the reference for the
+    batched ball_average, with the disk means of |d2 F|, the scale its
+    rounding is relative to."""
+    out = []
+    for c, r in zip(centers, radii):
+        pts, w = disk_rule(c, r, rings, angles)
+        g = F.evaluate(pts, order=1)[:, 1]
+        out.append((np.sum(g * w), np.sum(np.abs(g) * w)))
+    return np.array(out).T / (np.pi * radii ** 2)
+
+
+class EvaluateSpy:
+    """Counts the points of every evaluate call on the wrapped field."""
+
+    def __init__(self, F):
+        self.F = F
+        self.sizes = []
+
+    def evaluate(self, pts, order=0):
+        self.sizes.append(len(pts))
+        return self.F.evaluate(pts, order)
+
+
+@pytest.mark.parametrize("case, rings, angles", [
+    ("lifted", 64, 128), ("bumps", 64, 128), ("bumps", 128, 256)])
+def test_ball_average_batched_matches_per_disk(case, rings, angles, lifted):
+    # the three internal balls of n2d2-loose share one batch; the 23 balls
+    # of n3d3-tight take four disks per batch on the read-back rule (the
+    # last batch short) and one per batch on the verifier rule
+    if case == "lifted":
+        ct, F = lifted
+        inner = ~ct.tree.is_leaf
+        centers, radii = ct.y[inner], ct.radius[inner]
+        assert radii.size == 3
+    else:
+        ct = instance_geometry(canonical("n3d3-tight"))[3]
+        F = GaussianBumpField.random(np.random.default_rng(17))
+        centers, radii = ct.y, ct.radius
+        assert radii.size == 23
+    spy = EvaluateSpy(F)
+    got = ball_average(spy, centers, radii, rings, angles)
+    want, scale = _per_disk_averages(F, centers, radii, rings, angles)
+    # the root ball of n3d3-tight averages to rounding noise (about 1e-18)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    per = analysis.DISK_NODES // (rings * angles)
+    assert len(spy.sizes) == -(-radii.size // per)
+    assert max(spy.sizes) <= analysis.DISK_NODES
+    assert sum(spy.sizes) == radii.size * rings * angles
 
 
 def test_disk_seminorm_zero_for_affine():
@@ -370,6 +421,26 @@ def test_ball_estimate_sums_closed_form_on_two_leaves():
     want2 = w0 ** 2 + w1 ** 2
     assert s1 == pytest.approx(want1, rel=1e-12)
     assert s2 == pytest.approx(want2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", [i.name for i in CANONICAL
+                                  if i.depth == 1])
+def test_ball_estimate_jet_matches_per_leaf_solve(name):
+    # sum2 from the closed-form jet against one 3x3 solve per leaf
+    tree, ps, _, ct = instance_geometry(canonical(name))
+    G = GaussianBumpField.random(np.random.default_rng(19))
+    p = 1.5
+    _, s2 = ball_estimate_sums(ct, G, p)
+    avg = ball_average(G, ct.y, ct.radius)
+    kz, kw = e2_anchor_indices(ps)
+    want = 0.0
+    for j, i in enumerate(np.flatnonzero(tree.is_leaf)):
+        P = np.array([ps.e2[j], [kz[j] * ps.delta, 0.0],
+                      [kw[j] * ps.delta, 0.0]])
+        _, _, c = np.linalg.solve(np.column_stack([np.ones(3), P]),
+                                  G.evaluate(P))
+        want += abs(c - avg[i]) ** p * tree.weights[i] ** (2.0 - p)
+    assert s2 == pytest.approx(want, rel=1e-10)
 
 
 def test_gaussian_bump_field_derivatives_match_differences():

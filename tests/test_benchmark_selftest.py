@@ -3,12 +3,16 @@ change which breaks the benchmark's traced wrappers fails here too, and pins
 of one registry geometry, of the ratio-trials rows and of the field-eval sums
 to the benchmark's recorded reference."""
 
+import inspect
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import treeplane.analysis
+from treeplane.interpolant import AffinePolynomial
 from treeplane.operators import (PlanarData, norm_ratio_experiment,
                                  planar_extend, tree_extend_from_planar)
 from treeplane.suite import canonical, instance_geometry
@@ -21,6 +25,23 @@ if str(BENCHMARK) not in sys.path:
 def test_benchmark_selftest_passes():
     import selftest
     assert selftest.run_quietly()
+
+
+def test_traced_ball_average_and_read_back_defaults():
+    """The traced run binds ball_average's arguments to count its items, and
+    field-eval reads the rule size off tree_extend_from_planar's defaults."""
+    from tracing import Patches, Recorder
+    rec = Recorder()
+    with Patches(rec):
+        got = treeplane.analysis.ball_average(
+            AffinePolynomial(0.0, 0.0, 1.5), np.zeros((3, 2)), np.ones(3),
+            rings=8, angles=16)
+    assert np.allclose(got, 1.5, rtol=0, atol=1e-13)
+    spans = [s for s in rec.spans if s[0] == "analysis.ball_average"]
+    assert [s[4] for s in spans] == [8 * 16]
+    params = inspect.signature(tree_extend_from_planar).parameters
+    assert all(isinstance(params[k].default, int) and params[k].default >= 4
+               for k in ("rings", "angles"))
 
 
 def test_geometry_matches_benchmark_reference():

@@ -11,8 +11,7 @@ from treeplane.suite import canonical, instance_geometry
 from treeplane.tree_core import LeafFunction
 from treeplane.whitney import Q0_HI, Q0_LO, decompose
 from treeplane.interpolant import (AffinePolynomial, PatchedInterpolant,
-                                   _differing_pairs, affine_through,
-                                   pair_linf_sum)
+                                   _differing_pairs, pair_linf_sum)
 
 
 @pytest.fixture(scope="module")
@@ -56,31 +55,6 @@ def test_linf_on_rect_matches_dense_max():
     exact = P.linf_on_rect(x0, y0, x1, y1)
     assert exact >= dense - 1e-12
     assert exact == pytest.approx(dense, abs=1e-12)
-
-
-def test_affine_through_reproduces():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        pts = rng.uniform(-2, 2, size=(3, 2))
-        d12, d13 = pts[1] - pts[0], pts[2] - pts[0]
-        if abs(d12[0] * d13[1] - d12[1] * d13[0]) < 1e-3:
-            continue
-        target = AffinePolynomial(*rng.standard_normal(3))
-        vals = [target(q) for q in pts]
-        got = affine_through(pts[0], pts[1], pts[2], *vals)
-        assert got.a == pytest.approx(target.a, abs=1e-10)
-        assert got.b == pytest.approx(target.b, abs=1e-10)
-        assert got.c == pytest.approx(target.c, abs=1e-10)
-
-
-def test_affine_through_unit_triangle():
-    got = affine_through((0, 0), (1, 0), (0, 1), 0.0, 1.0, 0.0)
-    assert (got.a, got.b, got.c) == (0.0, 1.0, 0.0)
-
-
-def test_affine_through_colinear_raises():
-    with pytest.raises(ValueError, match="colinear"):
-        affine_through((0, 0), (1, 0), (2, 0), 0.0, 1.0, 2.0)
 
 
 def test_constructor_validation(small_wd):

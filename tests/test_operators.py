@@ -63,14 +63,6 @@ def test_e1_values_callable_rule(pair):
                        rtol=0, atol=0)
 
 
-def test_e1_values_overrides_win(pair):
-    _, ps, _, _ = pair
-    f = PlanarData(e2_values=np.zeros(ps.e2.shape[0]), e1_rule=1.0,
-                   e1_overrides={5: -9.0})
-    got = f.e1_values(ps, np.array([4, 5, 6]))
-    assert got.tolist() == [1.0, -9.0, 1.0]
-
-
 def test_e1_values_out_of_range(pair):
     _, ps, _, _ = pair
     f = PlanarData(e2_values=np.zeros(ps.e2.shape[0]))
