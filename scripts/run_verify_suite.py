@@ -9,6 +9,7 @@ import argparse
 import json
 import time
 
+from treeplane.clusters import KAPPA
 from treeplane.suite import (CANONICAL, clear_geometry_cache,
                              scale_sum_survey, verify_instance)
 
@@ -16,7 +17,7 @@ from treeplane.suite import (CANONICAL, clear_geometry_cache,
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", help="write the combined JSON report here")
-    ap.add_argument("--kappa", type=float, default=10.25)
+    ap.add_argument("--kappa", type=float, default=KAPPA)
     ap.add_argument("--skip-survey", action="store_true")
     args = ap.parse_args()
 

@@ -17,7 +17,7 @@ from .tree_core import (LeafFunction, NodeFunction, TreeStructureError,
                         WeightedTree, edge_energy, lca, random_tree,
                         seminorm_tree, validate)
 from .tree_extension import (ExtensionSolveError, averaging_extension,
-                             estimate_operator_norm, harmonic_extension_p2,
+                             harmonic_extension_p2,
                              optimal_extension, trace_seminorm)
 from .whitney import WhitneyCapError, WhitneyDecomposition, decompose
 
@@ -25,7 +25,7 @@ __all__ = [
     "WeightedTree", "NodeFunction", "LeafFunction", "TreeStructureError",
     "edge_energy", "seminorm_tree", "lca", "random_tree", "validate",
     "optimal_extension", "harmonic_extension_p2", "averaging_extension",
-    "trace_seminorm", "estimate_operator_norm",
+    "trace_seminorm",
     "ExtensionSolveError",
     "PlanarSet", "build_planar_set", "psi", "psi_all",
     "verify_lemma_psi", "verify_lemma_sep", "PlanarGeometryError",

@@ -67,6 +67,8 @@ BLOCK_NODES = 8_192
 # fills a batch, so no call is larger than a one-disk call; four read-back
 # disks (64 x 128) share one.
 DISK_NODES = 32_768
+# relative order-doubling gap above which a seminorm estimate warns
+REFINE_TOL = 0.01
 
 # Span [-1, 1] split where the blend changes analytic form.  Touching squares
 # come in sizes half/equal/double at dyadic positions, so their bump bands
@@ -340,7 +342,7 @@ def _order_doubling_estimate(coarse: float, fine: float, p: float,
 
 
 def planar_seminorm(F: PatchedInterpolant, p: float, quad_order: int = 12,
-                    refine_tol: float = 0.01) -> tuple[float, float]:
+                    refine_tol: float = REFINE_TOL) -> tuple[float, float]:
     """Seminorm of F over the frame: (value, error estimate).
 
     value is the doubled-order result to the power 1/p; the estimate is the
@@ -383,9 +385,9 @@ class EdgeWeights:
     n_classes: int
     n_blocks: int
 
-    def seminorm(self, Phi: np.ndarray, F: PatchedInterpolant,
-                 refine_tol: float = 0.01) -> tuple[float, float]:
-        """planar_seminorm(F, p, quad_order, refine_tol) for F the extension
+    def seminorm(self, Phi: np.ndarray,
+                 F: PatchedInterpolant) -> tuple[float, float]:
+        """planar_seminorm(F, p, quad_order) for F the extension
         of lifted leaf data whose clusters carry the vertical slopes Phi; F
         is read only on the mixed rows."""
         jump = np.abs(Phi[self.pairs[:, 0]] - Phi[self.pairs[:, 1]]) ** self.p
@@ -394,7 +396,7 @@ class EdgeWeights:
             c, f = _hess_power_sum(F, self.mixed_rows, self.p,
                                    (self.quad_order, 2 * self.quad_order))
             coarse, fine = coarse + c, fine + f
-        return _order_doubling_estimate(coarse, fine, self.p, refine_tol)
+        return _order_doubling_estimate(coarse, fine, self.p, REFINE_TOL)
 
 
 def _configurations(wd, lab: np.ndarray, rows: np.ndarray) -> tuple:
@@ -688,14 +690,13 @@ class GaussianBumpField:
     widths: np.ndarray
 
     @classmethod
-    def random(cls, rng: np.random.Generator, n_bumps: int = 3,
-               box=((-1.0, 3.0), (-1.0, 2.0)),
-               width_range=(0.3, 1.2), amp_scale: float = 1.0):
-        (x0, x1), (y0, y1) = box
-        centers = np.column_stack([rng.uniform(x0, x1, n_bumps),
-                                   rng.uniform(y0, y1, n_bumps)])
-        amps = amp_scale * rng.standard_normal(n_bumps)
-        widths = rng.uniform(*width_range, n_bumps)
+    def random(cls, rng: np.random.Generator):
+        """Three bumps: centres uniform on [-1, 3] x [-1, 2], standard normal
+        amplitudes, widths uniform on [0.3, 1.2]."""
+        centers = np.column_stack([rng.uniform(-1.0, 3.0, 3),
+                                   rng.uniform(-1.0, 2.0, 3)])
+        amps = rng.standard_normal(3)
+        widths = rng.uniform(0.3, 1.2, 3)
         return cls(centers, amps, widths)
 
     def evaluate(self, pts: np.ndarray, order: int = 0) -> np.ndarray:

@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .clusters import ClusterBallError, assign_clusters, build_clusters
+from .clusters import (KAPPA, ClusterBallError, assign_clusters,
+                       build_clusters)
 from .embedding import PlanarGeometryError, build_planar_set
 from .operators import (PlanarData, build_geometry, norm_ratio_experiment,
                         planar_extend, tree_extend_from_planar,
@@ -33,7 +34,7 @@ EXIT_OK, EXIT_VERIFY, EXIT_INVALID, EXIT_TOLERANCE = 0, 1, 2, 3
 DEFAULTS = {
     "p": 1.5,
     "epsilon": 0.01,
-    "kappa": 10.25,
+    "kappa": KAPPA,
     "k0": 0.05,
     "K0": 50.0,
     "quad_order": 12,

@@ -29,6 +29,7 @@ from .whitney import (Q0_HI, Q0_LO, TYPE_II, WhitneyDecomposition,
                       touching_pairs)
 
 REL_TOL = 1e-12
+KAPPA = 10.25   # default ball dilation; build_clusters needs kappa > 10
 
 
 class ClusterBallError(RuntimeError):
@@ -43,11 +44,11 @@ class ClusterBallError(RuntimeError):
 class ClusterTree:
     """Clusters indexed like the tree nodes (cluster i = shadow of node i).
 
-    members(i) gives the E2 rows; y[i], radius[i] the ball; square_cluster is
-    filled by assign_clusters.  `cross_rows` derives the squares whose
-    touching list holds another cluster from square_cluster and caches
-    them; setting square_cluster clears the cache.  kappa and K1 are stored
-    for reporting.
+    member_points(i) gives the E2 points; y[i], radius[i] the ball;
+    square_cluster is filled by assign_clusters.  `cross_rows` derives the
+    squares whose touching list holds another cluster from square_cluster
+    and caches them; setting square_cluster clears the cache.  kappa and K1
+    are stored for reporting.
     """
 
     def __init__(self, tree: WeightedTree, ps: PlanarSet, kappa: float,
@@ -84,33 +85,21 @@ class ClusterTree:
     def n_clusters(self) -> int:
         return self.tree.n_nodes
 
-    def members(self, i: int) -> np.ndarray:
-        return np.arange(self.tree.leaf_lo[i], self.tree.leaf_hi[i])
-
     def member_points(self, i: int) -> np.ndarray:
         return self.ps.e2[self.tree.leaf_lo[i]:self.tree.leaf_hi[i]]
 
-    def cluster_of_node(self, v: str) -> int:
-        return self.tree.index[v]
-
-    def to_json_dict(self, r_values: dict | None = None) -> dict:
-        nodes = []
-        for i, v in enumerate(self.tree.ids):
-            rec = {
-                "node": v,
-                "weight": float(self.tree.weights[i]),
-                "y": [float(self.y[i, 0]), float(self.y[i, 1])],
-                "radius": float(self.radius[i]),
-                "members": int(self.tree.leaf_hi[i] - self.tree.leaf_lo[i]),
-            }
-            if r_values and v in r_values:
-                rec["R_C"] = r_values[v]
-            nodes.append(rec)
+    def to_json_dict(self) -> dict:
+        nodes = [{"node": v,
+                  "weight": float(self.tree.weights[i]),
+                  "y": [float(self.y[i, 0]), float(self.y[i, 1])],
+                  "radius": float(self.radius[i]),
+                  "members": int(self.tree.leaf_hi[i] - self.tree.leaf_lo[i])}
+                 for i, v in enumerate(self.tree.ids)]
         return {"kappa": self.kappa, "K1": self.K1, "clusters": nodes}
 
-    def save(self, path, r_values: dict | None = None) -> None:
+    def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(r_values), fh, indent=1)
+            json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
 
 
@@ -133,7 +122,7 @@ def auto_k1(tree: WeightedTree, ps: PlanarSet, kappa: float) -> float:
     return 1.1 * need
 
 
-def build_clusters(tree: WeightedTree, ps: PlanarSet, kappa: float = 20.0,
+def build_clusters(tree: WeightedTree, ps: PlanarSet, kappa: float = KAPPA,
                    K1: float | None = None) -> ClusterTree:
     """Build and verify the cluster tree.
 

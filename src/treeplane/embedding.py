@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .tree_core import WeightedTree, validate
+from .tree_core import WeightedTree, lca, validate
 
 E1_MATERIALIZE_CAP = 10 ** 6
 REL_TOL = 1e-12  # closed-comparison slack for float geometry predicates
@@ -91,12 +91,13 @@ class PlanarSet:
             fh.write("\n")
 
 
-def build_planar_set(tree: WeightedTree, verify: bool = True) -> PlanarSet:
+def build_planar_set(tree: WeightedTree) -> PlanarSet:
     """Map a tree to its planar boundary set.
 
     Refuses trees whose `validate` report is non-empty: the geometry below
     (separation, embedding bounds) is only guaranteed under the decay and
-    root-weight conventions.
+    root-weight conventions.  Raises if the separation properties
+    (`verify_lemma_sep`) fail.
     """
     report = validate(tree)
     if report:
@@ -113,11 +114,10 @@ def build_planar_set(tree: WeightedTree, verify: bool = True) -> PlanarSet:
     ps = PlanarSet(delta=delta, e1_count=e1_count, e2=e2,
                    leaf_ids=list(tree.leaf_ids),
                    leaf_index={v: j for j, v in enumerate(tree.leaf_ids)})
-    if verify:
-        rep = verify_lemma_sep(ps)
-        if not rep["ok"]:
-            bad = [k for k, val in rep.items() if val is False]
-            raise PlanarGeometryError(f"separation properties failed: {bad}")
+    rep = verify_lemma_sep(ps)
+    if not rep["ok"]:
+        bad = [k for k, val in rep.items() if val is False]
+        raise PlanarGeometryError(f"separation properties failed: {bad}")
     return ps
 
 
@@ -171,7 +171,7 @@ def verify_lemma_psi(tree: WeightedTree, ps: PlanarSet) -> dict:
 
     order_preserving: psi is strictly increasing along the sorted leaf list.
     K_measured: smallest K >= 1 with K^-1 * W_lca / N <= |psi(w) - psi(v)|
-        <= K * W_lca over all leaf pairs, where lca is taken in the tree.
+        <= K * W_lca over all leaf pairs, with the lca from `tree_core.lca`.
     """
     if ps.n_e2 < 2:
         raise ValueError("need at least 2 leaves")
@@ -181,13 +181,7 @@ def verify_lemma_psi(tree: WeightedTree, ps: PlanarSet) -> dict:
     leaves = ps.leaf_ids
     for i in range(len(leaves)):
         for j in range(i + 1, len(leaves)):
-            v, w = leaves[i], leaves[j]
-            n = 0
-            for a, b in zip(v, w):
-                if a != b:
-                    break
-                n += 1
-            w_lca = tree.weight(v[:n])
+            w_lca = tree.weight(lca(tree, leaves[i], leaves[j]))
             gap = abs(xs[j] - xs[i])
             k_needed = max(k_needed, gap / w_lca, w_lca / (tree.N * gap))
     return {"order_preserving": order, "K_measured": float(k_needed)}

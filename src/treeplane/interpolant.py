@@ -59,13 +59,6 @@ class AffinePolynomial:
         return AffinePolynomial(self.a - other.a, self.b - other.b,
                                 self.c - other.c)
 
-    def linf_on_rect(self, x0: float, y0: float, x1: float, y1: float) -> float:
-        """Exact sup of |P| over the rectangle: |affine| is convex, so the
-        maximum sits at a corner."""
-        vals = [abs(self.a + self.b * x + self.c * y)
-                for x in (x0, x1) for y in (y0, y1)]
-        return max(vals)
-
 
 class PatchedInterpolant:
     """F = sum P_Q theta_Q on the frame, one fixed affine outside.

@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import EdgeWeights, ball_average, edge_weights
 # re-exported beside the extensions: the direct seminorm of any of them
 from .analysis import planar_seminorm  # noqa: F401
-from .clusters import ClusterTree, assign_clusters, build_clusters
+from .clusters import KAPPA, ClusterTree, assign_clusters, build_clusters
 from .embedding import PlanarSet, build_planar_set
 from .interpolant import AffinePolynomial, PatchedInterpolant
 from .tree_core import (LeafFunction, NodeFunction, WeightedTree,
@@ -43,6 +43,8 @@ CAVEAT = ("ratio stability across instances is the reportable quantity; "
           "the equivalence constant itself is not computable from the proof")
 # disk rule of the read-back from the plane to the tree
 RINGS, ANGLES = 64, 128
+# grid points verify_restriction compares, sampled at seed 0 above this
+E1_SAMPLES = 10_000
 
 
 @dataclass
@@ -84,14 +86,14 @@ class PlanarData:
                    lifted=slopes)
 
 
-def build_geometry(tree: WeightedTree, kappa: float = 10.25,
-                   K1: float | None = None, cap: int = SQUARE_CAP
+def build_geometry(tree: WeightedTree, kappa: float = KAPPA,
+                   cap: int = SQUARE_CAP
                    ) -> tuple[PlanarSet, WhitneyDecomposition, ClusterTree]:
     """The planar set of a tree, its Whitney decomposition (at most cap
     squares) and its cluster tree with every square assigned a cluster."""
     ps = build_planar_set(tree)
     wd = decompose(ps, cap=cap)
-    ct = build_clusters(tree, ps, kappa=kappa, K1=K1)
+    ct = build_clusters(tree, ps, kappa=kappa)
     assign_clusters(ct, wd)
     return ps, wd, ct
 
@@ -147,23 +149,39 @@ def planar_extend(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
     return _interpolant(ps, wd, ct, f, Phi)
 
 
-def verify_restriction(F: PatchedInterpolant, ps: PlanarSet, f: PlanarData,
-                       n_e1_samples: int = 10_000, seed: int = 0) -> dict:
+def verify_restriction(F: PatchedInterpolant, ps: PlanarSet,
+                       f: PlanarData) -> dict:
     """Largest relative mismatch between F and the data on both boundary
-    parts (grid part sampled when it is large)."""
+    parts (grid part sampled, E1_SAMPLES draws, when it is larger)."""
     got2 = np.atleast_1d(F.evaluate(ps.e2, order=0))
     scale2 = np.maximum(1.0, np.abs(f.e2_values))
     rel2 = float(np.max(np.abs(got2 - f.e2_values) / scale2)) if got2.size else 0.0
-    rng = np.random.default_rng(seed)
-    if ps.e1_count <= n_e1_samples:
+    if ps.e1_count <= E1_SAMPLES:
         k = np.arange(ps.e1_count)
     else:
-        k = np.unique(rng.integers(0, ps.e1_count, size=n_e1_samples))
+        rng = np.random.default_rng(0)
+        k = np.unique(rng.integers(0, ps.e1_count, size=E1_SAMPLES))
     pts = np.column_stack([k * ps.delta, np.zeros(k.size)])
     got1 = np.atleast_1d(F.evaluate(pts, order=0))
     want1 = f.e1_values(ps, k)
     rel1 = float(np.max(np.abs(got1 - want1) / np.maximum(1.0, np.abs(want1))))
     return {"max_rel_e2": rel2, "max_rel_e1": rel1, "n_e1_sampled": int(k.size)}
+
+
+def _lift_and_read_back(tree: WeightedTree, ps: PlanarSet,
+                        wd: WhitneyDecomposition, ct: ClusterTree,
+                        phi: LeafFunction, Phi: np.ndarray, rings: int,
+                        angles: int) -> tuple[PatchedInterpolant, np.ndarray]:
+    """The interpolant of the lift of phi with cluster slopes Phi, and the
+    node values read back off it: phi on the leaves, the disk average of the
+    vertical derivative over the cluster ball on every internal node."""
+    F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
+                     Phi)
+    vals = np.empty(tree.n_nodes)
+    vals[tree.is_leaf] = phi.to_array(tree)
+    inner = ~tree.is_leaf
+    vals[inner] = ball_average(F, ct.y[inner], ct.radius[inner], rings, angles)
+    return F, vals
 
 
 def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
@@ -177,12 +195,7 @@ def tree_extend_from_planar(tree: WeightedTree, ps: PlanarSet,
     them from one ball_average call on a rings x angles disk rule.  The tree
     backend extends phi itself, as planar_extend does for its lift."""
     Phi = _tree_backend(tree_backend)(tree, phi, p).to_array(tree)
-    F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
-                     Phi)
-    vals = np.empty(tree.n_nodes)
-    vals[tree.is_leaf] = phi.to_array(tree)
-    inner = ~tree.is_leaf
-    vals[inner] = ball_average(F, ct.y[inner], ct.radius[inner], rings, angles)
+    vals = _lift_and_read_back(tree, ps, wd, ct, phi, Phi, rings, angles)[1]
     return NodeFunction.from_array(tree, vals)
 
 
@@ -200,14 +213,9 @@ def _run_trial(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,
     den = edge_energy(tree, opt.to_array(tree), p) ** (1.0 / p)
     ext = opt if backend == "optimal" else _tree_backend(backend)(tree, phi, p)
     Phi = ext.to_array(tree)
-    F = _interpolant(ps, wd, ct, PlanarData.from_leaf_function(tree, ps, phi),
-                     Phi)
+    F, node_vals = _lift_and_read_back(tree, ps, wd, ct, phi, Phi, RINGS,
+                                       ANGLES)
     num_plane, quad_err = ew.seminorm(Phi, F)
-    node_vals = np.empty(tree.n_nodes)
-    node_vals[tree.is_leaf] = vals
-    inner = ~tree.is_leaf
-    node_vals[inner] = ball_average(F, ct.y[inner], ct.radius[inner], RINGS,
-                                    ANGLES)
     num_tree = seminorm_tree(tree, NodeFunction.from_array(tree, node_vals), p)
     return {
         "seed": seed, "trial": t, "N": tree.N, "depth": int(tree.depths.max()),
@@ -239,9 +247,8 @@ def _plane_ratio_bound(tree: WeightedTree,
 
 
 def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
-                          seed: int, backend="optimal", kappa: float = 10.25,
-                          K1: float | None = None, quad_order: int = 12,
-                          geometry=None) -> dict:
+                          seed: int, backend="optimal", kappa: float = KAPPA,
+                          quad_order: int = 12, geometry=None) -> dict:
     """Both seminorm ratios over random de-meaned leaf data.
 
     Per trial: rho_plane is the planar seminorm of the extension of the lifted
@@ -253,11 +260,13 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
     panel blocks; with the optimal backend their largest
     ratio to the tree weights bounds every rho_plane (`rho_plane_bound`,
     else None).  Deterministic given the seed; constant draws are resampled.
+    kappa builds the geometry when none is given; the report carries the
+    geometry's own kappa and K1.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     if geometry is None:
-        geometry = build_geometry(tree, kappa=kappa, K1=K1)
+        geometry = build_geometry(tree, kappa=kappa)
     ps, wd, ct = geometry
     ew = edge_weights(wd, ct, p, quad_order)
     rows = [_run_trial(tree, ps, wd, ct, ew, p, seed, backend, t)
@@ -268,7 +277,7 @@ def norm_ratio_experiment(tree: WeightedTree, p: float, n_trials: int,
     return {
         "rows": rows,
         "caveat": CAVEAT,
-        "kappa": kappa, "K1": ct.K1, "quad_order": quad_order,
+        "kappa": ct.kappa, "K1": ct.K1, "quad_order": quad_order,
         "rho_plane_bound": None if bound is None else bound[0],
         "rho_plane_bound_error": None if bound is None else bound[1],
         "edge_weight_rows": ew.n_rows, "edge_weight_classes": ew.n_classes,

@@ -3,10 +3,11 @@ compute fast.
 
 Each oracle recomputes one production result by the most direct route: a
 recursive decomposition over materialized E1, an O(n^2) dilate test, a
-pointwise Hessian quadrature, an exhaustive grid search, a scan of every
-cluster ball.  Tests compare them with the production functions on small
-instances; `suite.verify_tree` runs `assign_clusters_naive` as its named
-assignment cross-check.  No production path computes through this module.
+pointwise Hessian quadrature, a corner-by-corner sup of an affine piece, an
+exhaustive grid search, a scan of every cluster ball.  Tests compare them
+with the production functions on small instances; `suite.verify_tree` runs
+`assign_clusters_naive` as its named assignment cross-check.  No
+production path computes through this module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import _panel_rule
 from .clusters import ClusterTree, _square_in_ball
 from .embedding import PlanarSet
-from .interpolant import PatchedInterpolant
+from .interpolant import AffinePolynomial, PatchedInterpolant
 from .tree_core import NodeFunction, WeightedTree, _check_p
 from .tree_extension import _leaf_array
 from .whitney import (Q0_LO, Q0_SIDE, REL_TOL, TYPE_I, TYPE_II, TYPE_III,
@@ -153,6 +154,16 @@ def _hess_power_sum_pointwise(F: PatchedInterpolant, rows: np.ndarray,
         frob = np.sqrt(H[:, 0, 0] ** 2 + 2.0 * H[:, 0, 1] ** 2 + H[:, 1, 1] ** 2)
         total += float(np.sum(frob ** p * W.ravel()))
     return total
+
+
+# -- patching sum --------------------------------------------------------------
+
+def linf_on_rect(P: AffinePolynomial, x0: float, y0: float, x1: float,
+                 y1: float) -> float:
+    """Sup of |P| over the rectangle, corner by corner: |affine| is convex,
+    so the maximum sits at a corner.  Checks the closed-form corner max of
+    `interpolant.pair_linf_sum`."""
+    return max(abs(P.a + P.b * x + P.c * y) for x in (x0, x1) for y in (y0, y1))
 
 
 # -- tree extension ------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from .analysis import (GaussianBumpField, ball_estimate_sums, disk_seminorm,
                        edge_weights)
-from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
-                       build_clusters, pair_sets)
+from .clusters import (KAPPA, ClusterBallError, ClusterTree,
+                       assign_clusters, build_clusters, pair_sets)
 from .embedding import build_planar_set, verify_lemma_psi, verify_lemma_sep
 from .interpolant import pair_linf_sum
 from .operators import (PlanarData, build_geometry, planar_extend,
@@ -38,6 +38,7 @@ EPS_NUMERATORS = (0.01, 0.02, 0.05)
 _TAGS = {0.01: "tight", 0.02: "mid", 0.05: "loose"}
 # disk rule of the ball-estimate survey and its frame-cover seminorm
 RINGS, ANGLES = 128, 256
+P = 1.5    # exponent of the patching and ball-estimate surveys
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _geometry(inst: Instance, kappa: float):
     return tree, ps, None, build_clusters(tree, ps, kappa=kappa)
 
 
-def instance_geometry(inst: Instance, kappa: float = 10.25):
+def instance_geometry(inst: Instance, kappa: float = KAPPA):
     """(tree, ps, wd or None, ct) with the decomposition cached per instance."""
     return _geometry(inst, float(kappa))
 
@@ -156,7 +157,7 @@ def _restriction_check(tree, ps, wd, ct, seed: int) -> dict:
 
 
 def patching_survey(tree, ps, wd, ct, n_fields: int, seed: int,
-                    p: float = 1.5, quad_order: int = 12) -> dict:
+                    quad_order: int = 12) -> dict:
     """C_meas over random piecewise-affine fields from the extension pipeline:
     the seminorm's p-th power over the touching-pair sum of sup-norm piece
     differences (`pair_linf_sum`), the patching estimate read as an equality.
@@ -167,25 +168,25 @@ def patching_survey(tree, ps, wd, ct, n_fields: int, seed: int,
     quad_order and at its double that the seminorm's error admits (exact
     when the coarse order reads higher, else an upper bound).
     """
-    ew = edge_weights(wd, ct, p, quad_order)
+    ew = edge_weights(wd, ct, P, quad_order)
     values, errors = [], []
     for k in range(n_fields):
         rng = np.random.default_rng([seed, 31, k])
         vals = rng.standard_normal(tree.n_leaves)
         phi = LeafFunction.from_array(tree, vals - vals.mean())
         f = PlanarData.from_leaf_function(tree, ps, phi)
-        F = planar_extend(tree, ps, wd, ct, f, p=p, backend="averaging")
+        F = planar_extend(tree, ps, wd, ct, f, p=P, backend="averaging")
         Phi = np.zeros(ct.n_clusters)
         Phi[ct.square_cluster] = F.coefs[:, 2]
         value, err = ew.seminorm(Phi, F)
-        rhs = pair_linf_sum(F, p)[0]
-        values.append(value ** p / rhs)
-        errors.append(((value + err) ** p - value ** p) / rhs)
+        rhs = pair_linf_sum(F, P)[0]
+        values.append(value ** P / rhs)
+        errors.append(((value + err) ** P - value ** P) / rhs)
     finite = [v for v in values if np.isfinite(v) and v > 0]
     spread = max(finite) / min(finite) if finite else float("nan")
     return {"ok": bool(finite) and all(np.isfinite(values)),
             "C_meas": values, "C_meas_error": errors,
-            "spread": float(spread), "p": p}
+            "spread": float(spread), "p": P}
 
 
 def frame_cover_seminorm(G, p: float) -> float:
@@ -195,8 +196,7 @@ def frame_cover_seminorm(G, p: float) -> float:
     return disk_seminorm(G, center, radius, p, rings=RINGS, angles=ANGLES)
 
 
-def ball_estimate_survey(ct: ClusterTree, n_fields: int, seed: int,
-                         p: float = 1.5) -> dict:
+def ball_estimate_survey(ct: ClusterTree, n_fields: int, seed: int) -> dict:
     """Ratio of the two ball-estimate sums to the field's seminorm p-th power
     across random Gaussian-bump fields; the construction bounds it above.
     Each field's disk averages over all cluster balls come from one batched
@@ -205,23 +205,23 @@ def ball_estimate_survey(ct: ClusterTree, n_fields: int, seed: int,
     for k in range(n_fields):
         rng = np.random.default_rng([seed, 67, k])
         G = GaussianBumpField.random(rng)
-        s1, s2 = ball_estimate_sums(ct, G, p, rings=RINGS, angles=ANGLES)
-        total = frame_cover_seminorm(G, p) ** p
+        s1, s2 = ball_estimate_sums(ct, G, P, rings=RINGS, angles=ANGLES)
+        total = frame_cover_seminorm(G, P) ** P
         ratios.append(float((s1 + s2) / total) if total > 0 else 0.0)
-    return {"ok": all(np.isfinite(ratios)), "ratios": ratios, "p": p}
+    return {"ok": all(np.isfinite(ratios)), "ratios": ratios, "p": P}
 
 
-def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
-                K1: float | None = None, K0: float = 50.0,
-                p_values=(1.25, 1.5, 1.75), blend_points: int = 10_000,
-                seed: int = 0, n_patch_fields: int = 2,
+def verify_tree(tree: WeightedTree, *, kappa: float = KAPPA, K0: float = 50.0,
+                p_values=(1.25, 1.5, 1.75), seed: int = 0,
+                n_patch_fields: int = 2,
                 n_ball_fields: int = 2, quad_order: int = 12,
                 geometry=None) -> dict:
     """Run every geometric check the tree admits and report each one.
 
-    `geometry` reuses a prebuilt (ps, wd or None, ct) as given; otherwise the
-    decomposition is attempted and skipped (not failed) if the square budget
-    rules it out.
+    `geometry` reuses a prebuilt (ps, wd or None, ct) as given, and the
+    report carries that cluster tree's kappa; otherwise the decomposition is
+    attempted and skipped (not failed) if the square budget rules it out,
+    and the clusters are built at kappa.
     Checks carrying an `ok` flag decide the overall verdict; everything else
     is a measured constant along for the ride.
     """
@@ -242,7 +242,7 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
     checks["separation"] = verify_lemma_sep(ps)
     if ct is None:
         try:
-            ct = build_clusters(tree, ps, kappa=kappa, K1=K1)
+            ct = build_clusters(tree, ps, kappa=kappa)
         except ClusterBallError as exc:
             checks["cluster_balls"] = {"ok": False,
                                        "violations": list(exc.violations)}
@@ -258,7 +258,7 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
         checks["frame"] = verify_boundary(wd)
         checks["distance_bounds"] = verify_dist_bd(wd)
         checks["base_points"] = verify_basepoints(wd, k0=K0)
-        checks["blend"] = blend_check(wd, n_points=blend_points, seed=seed)
+        checks["blend"] = blend_check(wd, seed=seed)
     if wd is not None and ct is not None:
         if ct.square_cluster is None:
             assign_clusters(ct, wd)
@@ -291,7 +291,8 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
         "ball_ratios": checks.get("ball_estimate", {}).get("ratios"),
     }
     return {
-        "params": {"kappa": kappa, "K1": ct.K1 if ct is not None else K1,
+        "params": {"kappa": kappa if ct is None else ct.kappa,
+                   "K1": None if ct is None else ct.K1,
                    "K0": K0, "seed": seed, "p_values": list(p_values),
                    "quad_order": quad_order},
         "checks": checks,
@@ -301,7 +302,7 @@ def verify_tree(tree: WeightedTree, *, kappa: float = 10.25,
     }
 
 
-def verify_instance(inst: Instance, kappa: float = 10.25, **kw) -> dict:
+def verify_instance(inst: Instance, kappa: float = KAPPA, **kw) -> dict:
     tree, ps, wd, ct = instance_geometry(inst, kappa=kappa)
     rep = verify_tree(tree, kappa=kappa, geometry=(ps, wd, ct), **kw)
     rep["instance"] = asdict(inst)

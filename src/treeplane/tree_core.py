@@ -133,12 +133,6 @@ class WeightedTree:
     def weight(self, v: str) -> float:
         return float(self.weights[self.index[v]])
 
-    def parent_id(self, v: str) -> str:
-        if v == "":
-            raise ValueError("root has no parent")
-        self._require(v)
-        return v[:-1]
-
     def _require(self, v: str) -> None:
         if v not in self.index:
             raise KeyError(f"unknown node id {v!r}")

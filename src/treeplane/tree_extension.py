@@ -9,8 +9,6 @@ only non-linear solve in the package.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .tree_core import (LeafFunction, NodeFunction, WeightedTree, _check_p,
@@ -209,51 +207,6 @@ def optimal_extension(tree: WeightedTree, phi, p: float,
     return out
 
 
-def trace_seminorm(tree: WeightedTree, phi, p: float, tol: float = 1e-7) -> float:
+def trace_seminorm(tree: WeightedTree, phi, p: float) -> float:
     """Infimum of the tree seminorm over extensions of the leaf data."""
-    return seminorm_tree(tree, optimal_extension(tree, phi, p, tol=tol), p)
-
-
-def estimate_operator_norm(tree: WeightedTree,
-                           extension_op: Callable[[WeightedTree, LeafFunction], NodeFunction],
-                           p: float, n_samples: int = 32, seed: int = 0,
-                           ascent_iters: int = 2) -> float:
-    """Empirical operator norm sup seminorm(ext(phi)) / trace_seminorm(phi).
-
-    Gaussian samples (indexed child RNGs, so the estimate is nondecreasing in
-    n_samples at fixed seed) followed by coordinate hill climbing from the best
-    sample.  Samples with vanishing trace seminorm are skipped; returns 0.0 if
-    every sample degenerates.
-    """
-    p = _check_p(p)
-
-    def ratio(leaf_vals: np.ndarray) -> float:
-        span = float(leaf_vals.max() - leaf_vals.min())
-        if span <= 1e-12 * max(1.0, float(np.max(np.abs(leaf_vals)))):
-            return -np.inf
-        f = LeafFunction.from_array(tree, leaf_vals)
-        tr = trace_seminorm(tree, f, p)
-        if tr <= 0.0:
-            return -np.inf
-        return seminorm_tree(tree, extension_op(tree, f), p) / tr
-
-    best_r, best_phi = -np.inf, None
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        leaf_vals = rng.standard_normal(tree.n_leaves)
-        r = ratio(leaf_vals)
-        if r > best_r:
-            best_r, best_phi = r, leaf_vals
-    if best_phi is None:
-        return 0.0
-    step = 0.25 * float(best_phi.max() - best_phi.min())
-    for _ in range(ascent_iters):
-        for j in range(tree.n_leaves):
-            for sgn in (1.0, -1.0):
-                trial = best_phi.copy()
-                trial[j] += sgn * step
-                r = ratio(trial)
-                if r > best_r:
-                    best_r, best_phi = r, trial
-        step *= 0.5
-    return float(best_r)
+    return seminorm_tree(tree, optimal_extension(tree, phi, p), p)

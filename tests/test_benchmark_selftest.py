@@ -15,7 +15,8 @@ import treeplane.analysis
 from treeplane.interpolant import AffinePolynomial
 from treeplane.operators import (PlanarData, norm_ratio_experiment,
                                  planar_extend, tree_extend_from_planar)
-from treeplane.suite import canonical, instance_geometry
+from treeplane.suite import (canonical, full_instances, instance_geometry,
+                             instance_tree)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 if str(BENCHMARK) not in sys.path:
@@ -42,6 +43,42 @@ def test_traced_ball_average_and_read_back_defaults():
     params = inspect.signature(tree_extend_from_planar).parameters
     assert all(isinstance(params[k].default, int) and params[k].default >= 4
                for k in ("rings", "angles"))
+
+
+def test_workload_ops_run_and_pass_their_checks(monkeypatch):
+    """Each workload's own op path once, checked by the workload itself, so
+    that a keyword the workloads pass and the package no longer takes fails
+    here.  The registry trees and geometries come from the suite's cache."""
+    import workloads
+    ref = json.loads((BENCHMARK / "reference.json").read_text())
+
+    def cached_tree(name, seed=None):
+        assert seed is None
+        return instance_tree(canonical(name))
+
+    def cached_geometry(tree):
+        inst = next(i for i in full_instances() if instance_tree(i) is tree)
+        return instance_geometry(inst, workloads.KAPPA)[1:]
+
+    monkeypatch.setattr(workloads, "registry_tree", cached_tree)
+    monkeypatch.setattr(workloads, "geometry", cached_geometry)
+    rt = workloads.RatioTrials(ref["seed"], ref["ratio-trials"])
+    rt.setup()
+    for op in rt.round_ops(0):
+        rep, n = op.run()
+        assert n == workloads.TRIALS_PER_CALL
+        assert rt.check(op, rep) == [], op.key
+    gb = workloads.GeometryBuild(ref["seed"], None)
+    warm = workloads.Op(gb.WARMUP, None)
+    out = gb._chain(workloads.registry_tree(gb.WARMUP))
+    assert out[3]["ok"]
+    assert gb.check(warm, out) == []
+    fe = workloads.FieldEval(ref["seed"], ref["field-eval"])
+    fe.setup()
+    (op,) = fe.round_ops(0)
+    out, n = op.run()
+    assert n == 3 * workloads.FIELD_POINTS + fe.disk_points
+    assert fe.check(op, out) == []
 
 
 def test_geometry_matches_benchmark_reference():

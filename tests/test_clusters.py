@@ -5,9 +5,9 @@ from treeplane import WeightedTree, random_tree
 from treeplane.embedding import build_planar_set
 from treeplane.suite import canonical, instance_geometry
 from treeplane.whitney import TYPE_II, decompose
-from treeplane.clusters import (ClusterBallError, ClusterTree, assign_clusters,
-                                auto_k1, build_clusters, pair_sets,
-                                _verify_balls)
+from treeplane.clusters import (KAPPA, ClusterBallError, ClusterTree,
+                                assign_clusters, auto_k1, build_clusters,
+                                pair_sets, _verify_balls)
 from treeplane.oracles import assign_clusters_naive
 
 
@@ -35,8 +35,8 @@ def test_leaf_clusters_are_singletons(small):
     tree, ps, wd = small
     ct = build_clusters(tree, ps, kappa=10.25)
     for v in tree.leaf_ids:
-        i = ct.cluster_of_node(v)
-        assert ct.members(i).size == 1
+        i = tree.index[v]
+        assert ct.member_points(i).shape[0] == 1
         assert np.allclose(ct.member_points(i)[0], ct.y[i])
         assert ct.radius[i] == pytest.approx(10.25 * ct.K1 * tree.weight(v))
 
@@ -44,7 +44,7 @@ def test_leaf_clusters_are_singletons(small):
 def test_root_cluster_is_everything(small):
     tree, ps, wd = small
     ct = build_clusters(tree, ps, kappa=10.25)
-    assert ct.members(0).size == ps.n_e2
+    assert ct.member_points(0).shape == ps.e2.shape
     assert np.allclose(ct.member_points(0), ps.e2)
     # representative is the first member in tree order
     assert np.allclose(ct.y[0], ps.e2[0])
@@ -72,10 +72,11 @@ def test_build_with_auto_k1(small):
     assert ct.K1 == pytest.approx(1.1)  # root member spread 1 over weight 1
     assert ct.report["violations"] == []
     assert ct.report["same_depth_min_gap"] > 0
-    # default kappa works here too once K1 is not inflated
-    ct20 = build_clusters(tree, ps)
+    # kappa=20 works here too once K1 is not inflated
+    ct20 = build_clusters(tree, ps, kappa=20.0)
     assert ct20.kappa == 20.0
     assert ct20.report["violations"] == []
+    assert build_clusters(tree, ps).kappa == KAPPA
 
 
 def test_parameter_preconditions(small):
@@ -230,9 +231,8 @@ def test_json_round_trip(small, tmp_path):
     tree, ps, wd = small
     ct = build_clusters(tree, ps, kappa=10.25)
     assign_clusters(ct, wd)
-    r = pair_sets(ct, wd, p_values=(1.5,))["R"]
     path = tmp_path / "clusters.json"
-    ct.save(path, r_values=r)
+    ct.save(path)
     import json
     with open(path) as fh:
         doc = json.load(fh)
@@ -241,8 +241,7 @@ def test_json_round_trip(small, tmp_path):
     root = doc["clusters"][0]
     assert root["node"] == ""
     assert root["members"] == 2
-    assert "R_C" not in root
-    assert "R_C" in doc["clusters"][1]
+    assert doc == json.loads(json.dumps(ct.to_json_dict()))
 
 
 def test_three_digit_tree_end_to_end():

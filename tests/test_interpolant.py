@@ -12,6 +12,7 @@ from treeplane.tree_core import LeafFunction
 from treeplane.whitney import Q0_HI, Q0_LO, decompose
 from treeplane.interpolant import (AffinePolynomial, PatchedInterpolant,
                                    _differing_pairs, pair_linf_sum)
+from treeplane.oracles import linf_on_rect
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def test_linf_on_rect_matches_dense_max():
     ys = np.linspace(y0, y1, 101)
     X, Y = np.meshgrid(xs, ys)
     dense = np.abs(P.a + P.b * X + P.c * Y).max()
-    exact = P.linf_on_rect(x0, y0, x1, y1)
+    exact = linf_on_rect(P, x0, y0, x1, y1)
     assert exact >= dense - 1e-12
     assert exact == pytest.approx(dense, abs=1e-12)
 
@@ -207,8 +208,8 @@ def test_pair_linf_sum_matches_dense_sampling(small_wd):
         s, t = src[i], dst[i]
         dP = F.piece(int(t)) - F.piece(int(s))
         h = 0.5 * wd.delta[s]
-        corner = dP.linf_on_rect(wd.cx[s] - h, wd.cy[s] - h,
-                                 wd.cx[s] + h, wd.cy[s] + h)
+        corner = linf_on_rect(dP, wd.cx[s] - h, wd.cy[s] - h,
+                              wd.cx[s] + h, wd.cy[s] + h)
         xs = np.linspace(wd.cx[s] - h, wd.cx[s] + h, 41)
         ys = np.linspace(wd.cy[s] - h, wd.cy[s] + h, 41)
         X, Y = np.meshgrid(xs, ys)

@@ -1,6 +1,7 @@
 """Registry shape and the check-runner report contract."""
 
 import copy
+import io
 import json
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from treeplane import analysis, suite
 from treeplane.analysis import planar_seminorm
 from treeplane.interpolant import pair_linf_sum
-from treeplane.operators import PlanarData, planar_extend
+from treeplane.operators import (PlanarData, build_geometry,
+                                 norm_ratio_experiment, planar_extend,
+                                 write_experiment_csv)
 from treeplane.suite import (CANONICAL, canonical, full_instances,
                              instance_geometry, instance_tree,
                              patching_survey, scale_sum_survey,
@@ -77,6 +80,23 @@ def test_refused_clusters_reported_not_raised():
     assert rep["checks"]["cluster_balls"]["violations"]
     assert "partition" in rep["checks"]  # decomposition itself still runs
     assert "boundary_pairs" not in rep["checks"]
+
+
+def test_reports_echo_the_geometry_kappa():
+    # a geometry built at kappa=12 and passed in beside the default kappa:
+    # the reports carry the kappa and K1 its clusters were built at
+    tree = instance_tree(canonical("n2d1-tight"))
+    geo = build_geometry(tree, kappa=12.0)
+    K1 = geo[2].K1
+    rep = verify_tree(tree, geometry=geo, n_patch_fields=0, n_ball_fields=0)
+    assert rep["ok"]
+    assert (rep["params"]["kappa"], rep["params"]["K1"]) == (12.0, K1)
+    exp = norm_ratio_experiment(tree, p=1.5, n_trials=1, seed=0,
+                                geometry=geo)
+    assert (exp["kappa"], exp["K1"]) == (12.0, K1)
+    buf = io.StringIO()
+    write_experiment_csv(exp, buf)
+    assert f"# kappa=12.0 K1={K1} " in buf.getvalue()
 
 
 def test_scale_sum_survey_structure():

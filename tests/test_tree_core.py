@@ -25,10 +25,8 @@ def test_ids_sorted_and_indexed():
 
 def test_parent_and_children():
     t = two_leaf_tree()
-    assert t.parent_id("0") == ""
-    assert t.parent_id("1") == ""
-    with pytest.raises(ValueError):
-        t.parent_id("")
+    assert t.parent[t.index["0"]] == t.index[""]
+    assert t.parent[t.index["1"]] == t.index[""]
     assert t.is_leaf[t.index["0"]]
     assert not t.is_leaf[t.index[""]]
     assert t.leaf_ids == ["0", "1"]

@@ -3,9 +3,8 @@ import pytest
 
 from treeplane import (ExtensionSolveError, LeafFunction, NodeFunction,
                        WeightedTree, averaging_extension,
-                       estimate_operator_norm, harmonic_extension_p2,
-                       optimal_extension, random_tree, seminorm_tree,
-                       trace_seminorm)
+                       harmonic_extension_p2, optimal_extension, random_tree,
+                       seminorm_tree, trace_seminorm)
 from treeplane import tree_extension
 from treeplane.embedding import build_planar_set
 from treeplane.interpolant import AffinePolynomial
@@ -252,43 +251,3 @@ def test_brute_force_p2_matches_linear():
     resolution = window * (2.0 / (steps - 1)) ** 4
     assert np.max(np.abs(bf - lin)) <= resolution
 
-
-# -- estimate_operator_norm ---------------------------------------------------
-
-def test_norm_optimal_backend_is_one():
-    t, _ = random_instance(1)
-    r = estimate_operator_norm(
-        t, lambda tr, f: optimal_extension(tr, f, 1.5), 1.5,
-        n_samples=6, seed=0)
-    assert r == pytest.approx(1.0, abs=1e-5)
-
-
-def test_norm_two_leaf_star_averaging_is_one():
-    # equal weights make the midpoint optimal for every p, so averaging is optimal
-    t = star_tree(2)
-    r = estimate_operator_norm(t, averaging_extension, 1.5, n_samples=6, seed=0)
-    assert r == pytest.approx(1.0, abs=1e-5)
-
-
-def test_norm_single_edge_all_samples_degenerate():
-    # one leaf: every sample extends with zero energy on both sides, so the
-    # ratio never evaluates and the estimate reports 0.0
-    t = WeightedTree({"": 1.0, "0": 0.5}, N=2, epsilon=0.5)
-    assert estimate_operator_norm(t, averaging_extension, 1.5,
-                                  n_samples=4, seed=0) == 0.0
-
-
-def test_norm_monotone_in_samples():
-    t, _ = random_instance(5, N=3, depth=2)
-    rs = [estimate_operator_norm(t, averaging_extension, 1.5,
-                                 n_samples=n, seed=42, ascent_iters=0)
-          for n in (2, 4, 8)]
-    assert rs[0] <= rs[1] <= rs[2]
-
-
-def test_norm_deterministic():
-    t, _ = random_instance(5, N=3, depth=2)
-    args = dict(p=1.5, n_samples=4, seed=7)
-    a = estimate_operator_norm(t, averaging_extension, **args)
-    b = estimate_operator_norm(t, averaging_extension, **args)
-    assert a == b
