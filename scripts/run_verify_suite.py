@@ -40,7 +40,7 @@ def main() -> int:
 
     doc = {"instances": reports, "ok": all_ok}
     if not args.skip_survey:
-        survey = scale_sum_survey(kappa=20.0)
+        survey = scale_sum_survey()
         doc["scale_sum_survey"] = survey
         print(f"scale-sum survey at kappa=20: measured {survey['n_measured']} "
               f"instances, spread per p {survey['spread']}")

@@ -8,7 +8,7 @@ from .analysis import (EdgeWeights, GaussianBumpField, ball_average,
 from .clusters import (ClusterBallError, ClusterTree, assign_clusters,
                        build_clusters, pair_sets)
 from .embedding import (PlanarGeometryError, PlanarSet, build_planar_set,
-                        psi, psi_all, verify_lemma_psi, verify_lemma_sep)
+                        psi_all, verify_lemma_psi, verify_lemma_sep)
 from .interpolant import AffinePolynomial, PatchedInterpolant
 from .operators import (PlanarData, norm_ratio_experiment, planar_extend,
                         tree_extend_from_planar, verify_restriction,
@@ -27,7 +27,7 @@ __all__ = [
     "optimal_extension", "harmonic_extension_p2", "averaging_extension",
     "trace_seminorm",
     "ExtensionSolveError",
-    "PlanarSet", "build_planar_set", "psi", "psi_all",
+    "PlanarSet", "build_planar_set", "psi_all",
     "verify_lemma_psi", "verify_lemma_sep", "PlanarGeometryError",
     "WhitneyDecomposition", "decompose", "WhitneyCapError",
     "ClusterTree", "build_clusters", "assign_clusters", "pair_sets",

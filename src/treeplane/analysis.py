@@ -52,7 +52,7 @@ import numpy as np
 
 from .clusters import ClusterTree
 from .interpolant import PatchedInterpolant, _differing_pairs
-from .whitney import _T1, _profile, jet_slopes
+from .whitney import _T1, _profile, finest_grid, jet_slopes
 
 # nodes per batch of panel blocks: each field of a batch stays in cache.
 # A (blocks, k, k) float64 field of a full batch is 8 * BLOCK_NODES bytes.
@@ -135,10 +135,11 @@ def _touching_offsets(wd, rows: np.ndarray) -> tuple:
     # int64, as `whitney.touching_pairs` gives: the lists are int32
     cand = wd.neighbors[indptr[rows][:, None] +
                         np.minimum(ar, cnt[:, None] - 1)].astype(np.int64)
-    s = wd.sidei[rows][:, None]
-    dside = wd.sidei[cand] - s
-    ox = (4 * (wd.x0i[cand] - wd.x0i[rows][:, None]) + 2 * dside) // s
-    oy = (4 * (wd.y0i[cand] - wd.y0i[rows][:, None]) + 2 * dside) // s
+    x0, y0, s = (c[:, None] for c in finest_grid(wd, rows))
+    cx0, cy0, cs = finest_grid(wd, cand)
+    dside = cs - s
+    ox = (4 * (cx0 - x0) + 2 * dside) // s
+    oy = (4 * (cy0 - y0) + 2 * dside) // s
     dl = wd.levels[cand] - wd.levels[rows][:, None]
     return cand, dl, ox, oy, valid
 
@@ -409,7 +410,8 @@ def _configurations(wd, lab: np.ndarray, rows: np.ndarray) -> tuple:
     other = lab[cand] != lab[rows][:, None]
     # 8 * cy / delta = 8 * (iy + 1/2 - 3 * 2^(l - 3)): y = 0 lies 3/8 of
     # the way up the frame [-3, 5]
-    height = 8 * wd.iys[rows] + 4 - (3 << wd.levels[rows].astype(np.int64))
+    height = (8 * wd.iys[rows].astype(np.int64) + 4 -
+              (3 << wd.levels[rows].astype(np.int64)))
     return cand, (dl, ox, oy, other, valid, height)
 
 

@@ -60,7 +60,6 @@ class ClusterTree:
         first_leaf = tree.leaf_lo
         self.y = ps.e2[first_leaf].copy()
         self.radius = kappa * K1 * tree.weights
-        self.depths = tree.depths
         self.square_cluster = None
         self.report: dict = {}
 
@@ -259,7 +258,8 @@ def cross_cluster_rows(wd: WhitneyDecomposition, lab: np.ndarray) -> np.ndarray:
     # take, not fancy indexing: it reads the int32 lists without a slow path
     hit = np.flatnonzero(small.take(wd.neighbors) !=
                          np.repeat(small, np.diff(ip)))
-    return np.unique(np.searchsorted(ip, hit, "right") - 1)
+    # hit in the pointers' own dtype: mixed dtypes would widen ip per call
+    return np.unique(np.searchsorted(ip, hit.astype(ip.dtype), "right") - 1)
 
 
 def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
@@ -273,7 +273,7 @@ def assign_clusters(ct: ClusterTree, wd: WhitneyDecomposition) -> np.ndarray:
     """
     tree = ct.tree
     n = wd.n
-    assign = np.zeros(n, dtype=np.int64)
+    assign = np.zeros(n, dtype=np.int32)
     frontier = {0: np.arange(n)}
     while frontier:
         nxt: dict[int, np.ndarray] = {}

@@ -42,17 +42,6 @@ def psi_all(tree: WeightedTree) -> np.ndarray:
     return out
 
 
-def psi(tree: WeightedTree, v: str) -> float:
-    """Same map evaluated by the closed sum over the digits of v."""
-    tree._require(v)
-    total = 0.0
-    prefix = ""
-    for ch in v:
-        total += tree.weight(prefix) * int(ch) / (tree.N - 1)
-        prefix += ch
-    return total
-
-
 @dataclass
 class PlanarSet:
     """E1 (implicit grid) plus E2 (one point per leaf, x = psi, y = weight)."""

@@ -65,7 +65,8 @@ class PlanarData:
         self.e2_values = np.asarray(self.e2_values, dtype=float)
 
     def e1_values(self, ps: PlanarSet, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=np.int64)
+        # the int32 base points are read as they are: k * delta is float64
+        k = np.asarray(k)
         if np.any((k < 0) | (k >= ps.e1_count)):
             raise ValueError("grid index out of range")
         if callable(self.e1_rule):

@@ -2,7 +2,8 @@
 compute fast.
 
 Each oracle recomputes one production result by the most direct route: a
-recursive decomposition over materialized E1, an O(n^2) dilate test, a
+closed digit sum for the embedding, a recursive decomposition over
+materialized E1, an O(n^2) dilate test, a
 pointwise Hessian quadrature, a corner-by-corner sup of an affine piece, an
 exhaustive grid search, a scan of every cluster ball.  Tests compare them
 with the production functions on small instances; `suite.verify_tree` runs
@@ -23,7 +24,8 @@ from .interpolant import AffinePolynomial, PatchedInterpolant
 from .tree_core import NodeFunction, WeightedTree, _check_p
 from .tree_extension import _leaf_array
 from .whitney import (Q0_LO, Q0_SIDE, REL_TOL, TYPE_I, TYPE_II, TYPE_III,
-                      WhitneyCapError, WhitneyDecomposition, _morton_padded)
+                      WhitneyCapError, WhitneyDecomposition, _morton_padded,
+                      finest_grid)
 
 QUAD_CHUNK = 400_000
 
@@ -113,20 +115,34 @@ def _count_e2_rect(ps: PlanarSet, q: DyadicSquare) -> int:
 
 def neighbors_naive(wd: WhitneyDecomposition) -> list[set[int]]:
     """O(n^2) dilate-intersection test in scaled integers: the 1.1-dilate of a
-    square has corners at (20*ix - 1, 20*ix + 21) in units of side/20.
+    square with corner x0 and side s on the finest grid (`finest_grid`)
+    spans (20*x0 - s, 20*x0 + 21*s) in units of a twentieth of that grid.
     Checks the touching lists `wd.neighbors_indptr` / `wd.neighbors`."""
     L = wd.max_level
     if L > 25:
         raise ValueError("oracle limited to shallow decompositions")
-    a0 = (20 * wd.ixs - 1) << (L - wd.levels.astype(np.int64))
-    a1 = (20 * wd.ixs + 21) << (L - wd.levels.astype(np.int64))
-    b0 = (20 * wd.iys - 1) << (L - wd.levels.astype(np.int64))
-    b1 = (20 * wd.iys + 21) << (L - wd.levels.astype(np.int64))
+    x0, y0, side = finest_grid(wd)
+    a0, a1 = 20 * x0 - side, 20 * x0 + 21 * side
+    b0, b1 = 20 * y0 - side, 20 * y0 + 21 * side
     out = []
     for i in range(wd.n):
         hit = (a0 <= a1[i]) & (a0[i] <= a1) & (b0 <= b1[i]) & (b0[i] <= b1)
         out.append(set(np.flatnonzero(hit).tolist()))
     return out
+
+
+# -- embedding -----------------------------------------------------------------
+
+def psi(tree: WeightedTree, v: str) -> float:
+    """The horizontal embedding coordinate of v by the closed sum over its
+    digits.  Checks the recursion of `embedding.psi_all`."""
+    tree._require(v)
+    total = 0.0
+    prefix = ""
+    for ch in v:
+        total += tree.weight(prefix) * int(ch) / (tree.N - 1)
+        prefix += ch
+    return total
 
 
 # -- quadrature ----------------------------------------------------------------

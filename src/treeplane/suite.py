@@ -39,6 +39,8 @@ _TAGS = {0.01: "tight", 0.02: "mid", 0.05: "loose"}
 # disk rule of the ball-estimate survey and its frame-cover seminorm
 RINGS, ANGLES = 128, 256
 P = 1.5    # exponent of the patching and ball-estimate surveys
+BLEND_POINTS = 10_000    # sample points of the partition-of-unity check
+SURVEY_KAPPA = 20.0      # ball dilation of the scale-sum survey
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,9 @@ def _make_registry() -> tuple[Instance, ...]:
                 # measured square counts: at most 39,499 at depth 1; at
                 # depth 2, 262,333 (n2d2-loose), 632,446 (n3d2-loose) and
                 # 1,637,320 (n2d2-mid).  n3d2-mid has 3,950,926, under
-                # SQUARE_CAP, but is left out (6 s to build, 6 s to check,
-                # 2.3 GB peak); the cap refuses n2d2-tight and n3d2-tight.
+                # SQUARE_CAP, but is left out (6-7 s to build, 3 s to
+                # check, 1.0 GB peak); the cap refuses n2d2-tight and
+                # n3d2-tight.
                 # Depth 3 is not decomposed.
                 full = depth == 1 or (
                     depth == 2 and (num == 0.05 or (N == 2 and num == 0.02)))
@@ -113,17 +116,19 @@ def clear_geometry_cache() -> None:
     instance_tree.cache_clear()
 
 
-def blend_check(wd, n_points: int = 10_000, seed: int = 0) -> dict:
-    """Partition-of-unity sums and support overlap at a mixed sample.
+def blend_check(wd, seed: int = 0) -> dict:
+    """Partition-of-unity sums and support overlap at a mixed sample of
+    BLEND_POINTS points.
 
     Half the points are uniform over the frame; the rest crowd the strip
     around the data so the deep squares get probed too.
     """
     rng = np.random.default_rng(seed)
-    n_far = n_points // 2
+    n_far = BLEND_POINTS // 2
+    n_near = BLEND_POINTS - n_far
     far = rng.uniform(Q0_LO, Q0_HI, size=(n_far, 2))
-    near = np.column_stack([rng.uniform(-0.1, 2.1, size=n_points - n_far),
-                            rng.uniform(-0.06, 0.06, size=n_points - n_far)])
+    near = np.column_stack([rng.uniform(-0.1, 2.1, size=n_near),
+                            rng.uniform(-0.06, 0.06, size=n_near)])
     pts = np.vstack([far, near])
     indptr, _, th = pou_table(wd, pts)[:3]
     reps = np.diff(indptr)
@@ -309,10 +314,9 @@ def verify_instance(inst: Instance, kappa: float = KAPPA, **kw) -> dict:
     return rep
 
 
-def scale_sum_survey(instances=None, kappa: float = 20.0,
-                     p_values=(1.25, 1.5, 1.75)) -> dict:
-    """max_C R_C per instance at one fixed kappa, with the cross-instance
-    spread per exponent.
+def scale_sum_survey(instances=None, p_values=(1.25, 1.5, 1.75)) -> dict:
+    """max_C R_C per instance at the fixed kappa SURVEY_KAPPA, with the
+    cross-instance spread per exponent.
 
     Ball construction at a large kappa can refuse an instance whose same-depth
     balls would collide; that is the data's geometry, not a failure, so
@@ -325,7 +329,7 @@ def scale_sum_survey(instances=None, kappa: float = 20.0,
         if wd is None:
             continue
         try:
-            ct = build_clusters(tree, ps, kappa=kappa)
+            ct = build_clusters(tree, ps, kappa=SURVEY_KAPPA)
         except ClusterBallError as exc:
             rows[inst.name] = {"refused": list(exc.violations)[:2]}
             continue
@@ -338,5 +342,5 @@ def scale_sum_survey(instances=None, kappa: float = 20.0,
     for p, vals in per_p.items():
         pos = [v for v in vals if v > 0]
         spread[str(p)] = float(max(pos) / min(pos)) if pos else float("nan")
-    return {"kappa": kappa, "rows": rows, "spread": spread,
+    return {"kappa": SURVEY_KAPPA, "rows": rows, "spread": spread,
             "n_measured": {str(p): len(per_p[p]) for p in p_values}}

@@ -34,6 +34,16 @@ most 0.1 * delta into a square: a point more than that inside its
 containing square has that square as its only active one, with theta = 1
 and vanishing derivatives, and skips both the touching-list scan and the
 psi algebra.
+
+Storage.  A decomposition stores per square only what it cannot recompute
+cheaply: levels (int8); ixs, iys, the witnesses, the base points kz/kw,
+the touching lists with their row pointers and the cell table (int32);
+morton_starts (int64); delta, cx, cy (float64); type_codes (int8) and
+boundary (bool).  The int64 corners and sides on the finest grid
+(`finest_grid`) and the Morton ends (morton_starts + side^2) are derived
+from (levels, ixs, iys) where they are read.  Any arithmetic that can pass
+2^31 (shifts to the finest grid, Morton spreading, scaled heights) widens
+to int64 first.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ Q0_LO = -3.0
 Q0_HI = 5.0
 Q0_SIDE = 8.0
 REL_TOL = 1e-12
+# measured per square: 102-114 B at rest, a traced decompose peak of
+# 197-217 B, and 204-264 B of peak RSS for a whole build and check
+# (n2d2-tight, n3d2-mid), so the cap keeps a build near 1.3 GB
 SQUARE_CAP = 5 * 10 ** 6
 K0 = 50.0
 MORTON_MAX_LEVEL = 31
@@ -181,14 +194,21 @@ def _count_in_dilates(ps: PlanarSet, cx, cy, delta, r, chunk=200_000):
 class WhitneyDecomposition:
     """Parallel arrays over the squares, sorted by Morton code.
 
-    levels/ixs/iys define the squares; delta/cx/cy are derived floats;
-    type_codes hold 1/2/3 with witnesses e1_witness (grid index, Type I) and
-    e2_witness (E2 row, Type II); boundary marks squares touching the frame.
-    neighbors_indptr/neighbors gives the touching lists (self included).
-    Base points kz/kw are grid indices into E1 (the points k * ps.delta on
-    the axis), chosen per square type.  cells (`_cell_table`) holds, for
-    each dyadic cell of level cell_level in Morton order, the row of the
-    square containing it, or -1 where finer squares split it.
+    Stored, per square: levels (int8), ixs/iys (int32) define the squares
+    and morton_starts (int64) is their sort key; delta/cx/cy (float64) are
+    the side and centre; type_codes (int8) hold 1/2/3 with witnesses
+    e1_witness (int32 grid index, Type I) and e2_witness (int32 E2 row,
+    Type II); boundary (bool) marks squares touching the frame.
+    neighbors_indptr/neighbors (int32) give the touching lists (self
+    included).  Base points kz/kw (int32) are grid indices into E1 (the
+    points k * ps.delta on the axis), chosen per square type.  cells
+    (int32, `_cell_table`) holds, for each dyadic cell of level cell_level
+    in Morton order, the row of the square containing it, or -1 where finer
+    squares split it.
+
+    Derived where used, never stored: the int64 corners and sides on the
+    finest grid (`finest_grid`) and the Morton ends, morton_starts plus
+    the side squared.
     """
 
     def __init__(self, ps: PlanarSet | None, levels, ixs, iys):
@@ -204,31 +224,25 @@ class WhitneyDecomposition:
         self.morton_starts = _morton_padded(levels, ixs, iys)
         order = np.argsort(self.morton_starts, kind="stable")
         self.morton_starts = self.morton_starts[order]
-        self.levels = levels[order].astype(np.int32)
-        self.ixs = ixs[order].astype(np.int64)
-        self.iys = iys[order].astype(np.int64)
+        # level <= 31, so indices stay below 2^31
+        self.levels = np.asarray(levels, dtype=np.int8)[order]
+        self.ixs = np.asarray(ixs, dtype=np.int32)[order]
+        self.iys = np.asarray(iys, dtype=np.int32)[order]
+        del order
         self.n = self.levels.shape[0]
         self.delta = Q0_SIDE * np.exp2(-self.levels.astype(np.float64))
         self.cx = Q0_LO + (self.ixs + 0.5) * self.delta
         self.cy = Q0_LO + (self.iys + 0.5) * self.delta
-        # int64 arithmetic: the shift reaches 2 * max_level bits on deep grids
-        span = np.int64(1) << (2 * (self.max_level -
-                                    self.levels.astype(np.int64)))
-        self.morton_ends = self.morton_starts + span
-        side = 1 << (self.max_level - self.levels.astype(np.int64))
-        self.x0i = self.ixs * side      # corners at the finest-level grid
-        self.y0i = self.iys * side
-        self.sidei = side
         self.type_codes = np.zeros(self.n, dtype=np.int8)
-        self.e1_witness = np.full(self.n, -1, dtype=np.int64)
-        self.e2_witness = np.full(self.n, -1, dtype=np.int64)
+        self.e1_witness = np.full(self.n, -1, dtype=np.int32)
+        self.e2_witness = np.full(self.n, -1, dtype=np.int32)
         top = (1 << self.levels.astype(np.int64)) - 1
         self.boundary = ((self.ixs == 0) | (self.iys == 0) |
                          (self.ixs == top) | (self.iys == top))
-        self.neighbors_indptr, self.neighbors = _touching_graph(
-            self.x0i, self.y0i, self.sidei)
-        self.kz = np.full(self.n, -1, dtype=np.int64)
-        self.kw = np.full(self.n, -1, dtype=np.int64)
+        del top    # before the touching graph takes its peak
+        self.neighbors_indptr, self.neighbors = _touching_graph(self)
+        self.kz = np.full(self.n, -1, dtype=np.int32)
+        self.kw = np.full(self.n, -1, dtype=np.int32)
         # at most 4 cells per square: 4^cell_level <= 4n
         self.cell_level = min(self.max_level,
                               ((4 * self.n).bit_length() - 1) // 2)
@@ -269,8 +283,18 @@ class WhitneyDecomposition:
 
 
 def _morton_padded(levels, ixs, iys) -> np.ndarray:
+    # the int64 shift widens the indices, as in `finest_grid`
     shift = int(levels.max()) - levels.astype(np.int64)
-    return _morton(ixs.astype(np.int64) << shift, iys.astype(np.int64) << shift)
+    return _morton(ixs << shift, iys << shift)
+
+
+def finest_grid(wd: WhitneyDecomposition, rows=slice(None)):
+    """int64 corners (x0, y0) and sides of the squares at rows, in units of
+    the finest grid (level max_level), shaped like rows.  The shift to that
+    grid reaches 31 bits; as an int64 it widens the int32 indices before
+    they move."""
+    shift = wd.max_level - wd.levels[rows].astype(np.int64)
+    return wd.ixs[rows] << shift, wd.iys[rows] << shift, 1 << shift
 
 
 def _cell_table(levels, ixs, iys, cell_level: int) -> np.ndarray:
@@ -288,7 +312,7 @@ def _cell_table(levels, ixs, iys, cell_level: int) -> np.ndarray:
     return cells
 
 
-def _touching_graph(x0, y0, side):
+def _touching_graph(wd: WhitneyDecomposition):
     """CSR touching lists (self included, ascending) from two exact sweeps
     over shared face lines that between them find each touching pair once.
 
@@ -298,17 +322,22 @@ def _touching_graph(x0, y0, side):
     the horizontal-face sweep takes open overlap along x, so it finds only
     squares sharing a horizontal face of positive length.
 
-    The lists are int32 (rows stay below 2^31 for any square cap up to
+    The lists and row pointers are int32 (rows and entries stay below
     2^31).  No entry is held as an int64 (src, dst) pair: each sweep keeps
     its pairs as int32, one int64 key src * n + dst per entry goes into a
     single array that is sorted and reduced to dst in place, and the row
-    pointers are where the keys cross multiples of n.
+    pointers are where the keys cross multiples of n.  The int64 corners of
+    the sweeps die before the keys are built.
     """
-    n = x0.shape[0]
+    n = wd.n
+    x0, y0, side = finest_grid(wd)
     pairs = [_face_pairs(x0, x0 + side, y0, y0 + side, True),
              _face_pairs(y0, y0 + side, x0, x0 + side, False)]
-    keys = np.empty(n + 2 * sum(plus.size for plus, _ in pairs),
-                    dtype=np.int64)
+    del x0, y0, side
+    size = n + 2 * sum(plus.size for plus, _ in pairs)
+    if size > np.iinfo(np.int32).max:
+        raise ValueError(f"{size} touching entries overflow int32 pointers")
+    keys = np.empty(size, dtype=np.int64)
     keys[:n] = np.arange(n, dtype=np.int64) * (n + 1)    # self pairs
     at = n
     for plus, minus in pairs:
@@ -322,28 +351,31 @@ def _touching_graph(x0, y0, side):
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     np.remainder(keys, n, out=keys)
-    return indptr, keys.astype(np.int32)
+    return indptr.astype(np.int32), keys.astype(np.int32)
 
 
 def _face_pairs(a_lo, a_hi, b, b_hi, closed):
     """int32 (plus, minus) rows of the squares whose "plus" face at a_hi
     meets the "minus" face at a_lo of another square on the same line,
-    with b-overlap closed or open; the sweep's temporaries die on return."""
+    with b-overlap closed or open; each int64 temporary of the sweep dies
+    as soon as its search is done."""
     n = a_lo.shape[0]
     # coordinates are at most 2^31, so the keys stay below 2^62 + 2^32
     key_shift = int(np.max(a_hi)) + 1
     order_minus = np.argsort(a_lo * key_shift + b,
                              kind="stable").astype(np.int32)
-    minus_line = a_lo[order_minus]
+    minus_line = a_lo[order_minus] * key_shift
     # within a line the b-intervals are disjoint, so b0 and b1 are both sorted
-    comp0 = minus_line * key_shift + b[order_minus]
-    comp1 = minus_line * key_shift + b_hi[order_minus]
     # closed: b1_j >= b_i and b0_j <= b1_i; open: both strict
-    lo_idx = np.searchsorted(comp1, a_hi * key_shift + b,
+    lo_idx = np.searchsorted(minus_line + b_hi[order_minus],
+                             a_hi * key_shift + b,
                              side="left" if closed else "right")
-    hi_idx = np.searchsorted(comp0, a_hi * key_shift + b_hi,
+    minus_line += b[order_minus]
+    counts = np.searchsorted(minus_line, a_hi * key_shift + b_hi,
                              side="right" if closed else "left")
-    counts = np.maximum(0, hi_idx - lo_idx)
+    del minus_line
+    counts -= lo_idx
+    np.maximum(counts, 0, out=counts)
     plus = np.repeat(np.arange(n, dtype=np.int32), counts)
     minus = order_minus[run_indices(lo_idx, counts)]
     return plus, minus
@@ -370,9 +402,11 @@ def decompose(ps: PlanarSet, cap: int = SQUARE_CAP) -> WhitneyDecomposition:
         cy = Q0_LO + (iys + 0.5) * delta
         n1, n2, _, _ = _count_in_dilates(ps, cx, cy, np.full(ixs.shape, delta), 3.0)
         keep = (n1 + n2) <= 1
-        done_lv.append(np.full(int(keep.sum()), lv, dtype=np.int32))
-        done_ix.append(ixs[keep])
-        done_iy.append(iys[keep])
+        # kept squares are stored narrow: int32 holds any index of a level
+        # the Morton keys accept
+        done_lv.append(np.full(int(keep.sum()), lv, dtype=np.int8))
+        done_ix.append(ixs[keep].astype(np.int32))
+        done_iy.append(iys[keep].astype(np.int32))
         total += int(keep.sum())
         sx, sy = ixs[~keep], iys[~keep]
         if total + 4 * sx.size > cap:
@@ -380,8 +414,10 @@ def decompose(ps: PlanarSet, cap: int = SQUARE_CAP) -> WhitneyDecomposition:
         ixs = np.repeat(sx * 2, 4) + np.tile([0, 1, 0, 1], sx.size)
         iys = np.repeat(sy * 2, 4) + np.tile([0, 0, 1, 1], sx.size)
         lv += 1
-    wd = WhitneyDecomposition(ps, np.concatenate(done_lv),
-                              np.concatenate(done_ix), np.concatenate(done_iy))
+    squares = [np.concatenate(d) for d in (done_lv, done_ix, done_iy)]
+    del done_lv, done_ix, done_iy
+    wd = WhitneyDecomposition(ps, *squares)
+    del squares    # before the classification takes its peak
     _classify_all(wd)
     _assign_basepoints(wd)
     return wd
@@ -396,8 +432,8 @@ def _classify_all(wd: WhitneyDecomposition) -> None:
             f"1.1-dilate; the stopping rule should make this impossible")
     wd.type_codes = np.where(n1 == 1, TYPE_I,
                              np.where(n2 == 1, TYPE_II, TYPE_III)).astype(np.int8)
-    wd.e1_witness = np.where(n1 == 1, e1f, -1)
-    wd.e2_witness = np.where(n2 == 1, e2f, -1)
+    wd.e1_witness = np.where(n1 == 1, e1f, -1).astype(np.int32)
+    wd.e2_witness = np.where(n2 == 1, e2f, -1).astype(np.int32)
 
 
 def e2_anchor_indices(ps: PlanarSet) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +502,7 @@ def _assign_basepoints(wd: WhitneyDecomposition) -> None:
     mb = wd.boundary
     kz[mb] = 0
     kw[mb] = last
-    wd.kz, wd.kw = kz, kw
+    wd.kz, wd.kw = kz.astype(np.int32), kw.astype(np.int32)
 
 
 # -- partition of unity ----------------------------------------------------------
@@ -592,10 +628,13 @@ def pou_table(wd: WhitneyDecomposition, pts: np.ndarray,
 # -- geometry verifiers ----------------------------------------------------------
 
 def verify_partition(wd: WhitneyDecomposition) -> dict:
-    """Exact integer check that the squares tile Q0 without overlap."""
+    """Exact integer check that the squares tile Q0 without overlap: each
+    Morton range [start, start + side^2) ends where the next one starts."""
+    side = finest_grid(wd)[2]
+    ends = wd.morton_starts + side * side
     ok_start = wd.morton_starts[0] == 0
-    ok_chain = bool(np.all(wd.morton_starts[1:] == wd.morton_ends[:-1]))
-    ok_end = int(wd.morton_ends[-1]) == 1 << (2 * wd.max_level)
+    ok_chain = bool(np.all(wd.morton_starts[1:] == ends[:-1]))
+    ok_end = int(ends[-1]) == 1 << (2 * wd.max_level)
     return {"ok": bool(ok_start and ok_chain and ok_end), "mode": "morton"}
 
 
@@ -625,10 +664,10 @@ def verify_cz(wd: WhitneyDecomposition) -> dict:
         once = src < dst
         src, dst = src[once], dst[once]
         ratio_ok &= bool(np.all(np.abs(wd.levels[src] - wd.levels[dst]) <= 1))
-        gap_x = np.maximum(wd.x0i[src] - (wd.x0i[dst] + wd.sidei[dst]),
-                           wd.x0i[dst] - (wd.x0i[src] + wd.sidei[src]))
-        gap_y = np.maximum(wd.y0i[src] - (wd.y0i[dst] + wd.sidei[dst]),
-                           wd.y0i[dst] - (wd.y0i[src] + wd.sidei[src]))
+        xs, ys, ss = finest_grid(wd, src)
+        xd, yd, sd = finest_grid(wd, dst)
+        gap_x = np.maximum(xs - (xd + sd), xd - (xs + ss))
+        gap_y = np.maximum(ys - (yd + sd), yd - (ys + ss))
         touch_ok &= bool(np.all((gap_x <= 0) & (gap_y <= 0)))
     delta_floor_ok = bool(np.all(wd.delta >= ps.delta / 20.0))
     return {

@@ -82,7 +82,7 @@ def test_criterion_2_measured_constant_stability():
             neigh.append(consts["max_neighbors"])
         if consts["C_meas"]:
             c_meas.extend(consts["C_meas"])
-    survey = scale_sum_survey(kappa=20.0)
+    survey = scale_sum_survey()
     spreads = {p: s for p, s in survey["spread"].items() if np.isfinite(s)}
     patch_ok = all(np.isfinite(v) and v > 0 for v in c_meas)
     patch_spread = max(c_meas) / min(c_meas) if patch_ok else np.inf
@@ -175,7 +175,7 @@ def test_criterion_3_oracle_equivalences():
     detail.append(f"hessian vs differences {fd_rel:.1e} at 1000 points")
 
     # partition of unity sums
-    blend = blend_check(wd_m, n_points=10_000)
+    blend = blend_check(wd_m)
     assert blend["ok"] and blend["max_sum_err"] <= 1e-12
     detail.append(f"blend sums err {blend['max_sum_err']:.1e} at 10^4 points")
 

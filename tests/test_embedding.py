@@ -3,8 +3,9 @@ import pytest
 
 from treeplane import WeightedTree, random_tree
 from treeplane.embedding import (PlanarGeometryError, PlanarSet,
-                                 build_planar_set, psi, psi_all,
+                                 build_planar_set, psi_all,
                                  verify_lemma_psi, verify_lemma_sep)
+from treeplane.oracles import psi
 from treeplane.whitney import _e1_count_interval
 
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from treeplane import WeightedTree, random_tree, whitney
+from treeplane.analysis import _configurations
 from treeplane.clusters import assign_clusters, build_clusters, pair_sets
 from treeplane.embedding import PlanarSet, build_planar_set
 from treeplane.oracles import DyadicSquare, decompose_naive, neighbors_naive
 from treeplane.suite import canonical, instance_geometry, instance_tree
-from treeplane.whitney import (Q0_HI, Q0_LO, Q0_SIDE, REL_TOL,
-                               TYPE_I, TYPE_II, TYPE_III,
+from treeplane.whitney import (MORTON_MAX_LEVEL, Q0_HI, Q0_LO, Q0_SIDE,
+                               REL_TOL, TYPE_I, TYPE_II, TYPE_III,
                                WhitneyCapError, WhitneyDecomposition,
                                decompose, e2_anchor_indices, pou_table,
                                _count_in_dilates, _morton, _psi_terms,
@@ -419,6 +420,62 @@ def test_level_past_morton_key_refused():
                              np.array(iys))
 
 
+def _morton_int(x: int, y: int) -> int:
+    return sum(((x >> b & 1) << 2 * b) | ((y >> b & 1) << 2 * b + 1)
+               for b in range(MORTON_MAX_LEVEL))
+
+
+def test_deepest_corner_stays_exact():
+    """The top-right corner of Q0 refined down to level 31 (94 squares):
+    indices reach 2^31 - 1 and corners plus sides reach 2^31, past the
+    int32 columns, so every value derived from them must be widened first.
+    Each is checked against Python integers."""
+    top = MORTON_MAX_LEVEL
+    levels, ixs, iys = staircase(top)
+    # mirror the staircase into the top-right corner
+    ixs = [(1 << v) - 1 - i for v, i in zip(levels, ixs)]
+    iys = [(1 << v) - 1 - j for v, j in zip(levels, iys)]
+    ps = PlanarSet(delta=0.25, e1_count=9, e2=np.zeros((0, 2)), leaf_ids=[],
+                   leaf_index={})
+    wd = WhitneyDecomposition(ps, np.array(levels), np.array(ixs),
+                              np.array(iys))
+    assert wd.n == 94 and wd.max_level == top
+    lv, ix, iy = (a.tolist() for a in (wd.levels, wd.ixs, wd.iys))
+    side = [1 << (top - v) for v in lv]
+    x0 = [i * s for i, s in zip(ix, side)]
+    y0 = [j * s for j, s in zip(iy, side)]
+    start = [_morton_int(x, y) for x, y in zip(x0, y0)]
+    for got, want in zip(whitney.finest_grid(wd), (x0, y0, side)):
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert wd.morton_starts.tolist() == start
+    end = [a + s * s for a, s in zip(start, side)]
+    assert end[:-1] == start[1:] and end[-1] == 1 << 2 * top
+    top_ix = [(1 << v) - 1 for v in lv]
+    assert wd.boundary.tolist() == [i in (0, t) or j in (0, t) for i, j, t
+                                    in zip(ix, iy, top_ix)]
+    assert verify_partition(wd)["ok"]
+    cz = verify_cz(wd)
+    assert cz["neighbor_touch_ok"] and cz["neighbor_ratio_ok"]
+    for i in range(wd.n):
+        lo, hi = wd.neighbors_indptr[i], wd.neighbors_indptr[i + 1]
+        brute = [j for j in range(wd.n)
+                 if x0[j] <= x0[i] + side[i] and x0[i] <= x0[j] + side[j]
+                 and y0[j] <= y0[i] + side[i] and y0[i] <= y0[j] + side[j]]
+        assert wd.neighbors[lo:hi].tolist() == brute
+    rows = np.arange(wd.n)
+    cand, (dl, ox, oy, _, valid, height) = _configurations(
+        wd, np.zeros(wd.n, dtype=np.int64), rows)
+    assert height.tolist() == [8 * j + 4 - 3 * (1 << v)
+                               for j, v in zip(iy, lv)]
+    for i, j in zip(*np.nonzero(valid)):
+        c = int(cand[i, j])
+        assert dl[i, j] == lv[c] - lv[i]
+        assert ox[i, j] == (4 * (x0[c] - x0[i]) + 2 * (side[c] - side[i])) \
+            // side[i]
+        assert oy[i, j] == (4 * (y0[c] - y0[i]) + 2 * (side[c] - side[i])) \
+            // side[i]
+
+
 # -- deep-point shortcut ----------------------------------------------------------
 
 # offsets from a square's centre in units of its side: the deep bound 0.375,
@@ -561,9 +618,9 @@ def _assert_cell_table(wd):
     ix, iy = ii.ravel() << s, jj.ravel() << s
     row = np.searchsorted(wd.morton_starts, _morton(ix, iy), "right") - 1
     side = 1 << s
-    covers = ((wd.x0i[row] <= ix) & (ix + side <= wd.x0i[row] + wd.sidei[row])
-              & (wd.y0i[row] <= iy) &
-              (iy + side <= wd.y0i[row] + wd.sidei[row]))
+    x0, y0, sq_side = whitney.finest_grid(wd, row)
+    covers = ((x0 <= ix) & (ix + side <= x0 + sq_side) &
+              (y0 <= iy) & (iy + side <= y0 + sq_side))
     got = wd.cells[_morton(ii.ravel(), jj.ravel())]
     assert np.array_equal(got, np.where(covers, row, -1))
     return covers
@@ -800,12 +857,37 @@ def test_pou_table_takes_known_home_rows(medium):
 
 # -- memory -------------------------------------------------------------------
 
+_COLUMN_DTYPES = {
+    "levels": np.int8, "ixs": np.int32, "iys": np.int32,
+    "morton_starts": np.int64, "delta": np.float64, "cx": np.float64,
+    "cy": np.float64, "type_codes": np.int8, "e1_witness": np.int32,
+    "e2_witness": np.int32, "boundary": np.bool_,
+    "neighbors_indptr": np.int32, "neighbors": np.int32, "kz": np.int32,
+    "kw": np.int32, "cells": np.int32, "_cell_spread": np.int32}
+
+
+def test_decomposition_columns_are_lean():
+    """Every stored column has its pinned dtype, no other array is stored,
+    and the columns derivable from (levels, ixs, iys) are not stored."""
+    _, _, wd, ct = instance_geometry(canonical("n2d1-loose"))
+    arrays = {k: v.dtype for k, v in vars(wd).items()
+              if isinstance(v, np.ndarray)}
+    assert arrays == _COLUMN_DTYPES
+    for name in ("morton_ends", "x0i", "y0i", "sidei"):
+        assert not hasattr(wd, name)
+    assert ct.square_cluster.dtype == np.int32
+
+
 def test_touching_graph_memory_budget():
-    """Traced peaks per square on a fresh n2d2-loose build.  Expanding every
-    touching entry as an int64 (src, dst) pair costs about 546, 282 and 225
-    B/square at these three stages; the int32 lists from one in-place key
-    sort, the row chunks of `verify_cz` and `pair_sets` on the cluster
-    boundary rows take about 303, 121 and 1."""
+    """Traced peaks per square on a fresh n2d2-loose build, and the
+    decomposition's size at rest.  Expanding every touching entry as an
+    int64 (src, dst) pair costs about 546, 282 and 225 B/square at the three
+    stages; the int32 lists from one in-place key sort, the row chunks of
+    `verify_cz` and `pair_sets` on the cluster boundary rows take about
+    303, 121 and 1.  With four columns derived and the index columns
+    narrowed, decompose peaks at about 217 B/square and the decomposition
+    holds about 114 at rest, against 303 and 177 with the four columns
+    stored and the index columns int64."""
     tree = instance_tree(canonical("n2d2-loose"))
     ps = build_planar_set(tree)
     ct = build_clusters(tree, ps, kappa=10.25)
@@ -823,6 +905,9 @@ def test_touching_graph_memory_budget():
     finally:
         tracemalloc.stop()
     assert wd.n == 262_333
-    assert decompose_peak / wd.n < 420
+    at_rest = sum(v.nbytes for v in vars(wd).values()
+                  if isinstance(v, np.ndarray))
+    assert at_rest / wd.n < 125
+    assert decompose_peak / wd.n < 240
     assert cz_peak / wd.n < 200
     assert pair_peak / wd.n < 100
