@@ -293,7 +293,7 @@ def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
     depend on depth.  Rows are batched by the largest order's node count,
     blocks by BLOCK_NODES nodes (`_block_power`).
     """
-    wd, co = F.wd, F.coefs
+    wd, co, idx = F.wd, F.pieces, F.piece_of
     npan = PANEL_EDGES.size - 1
     rules = [(gx.reshape(npan, -1), gw.reshape(npan, -1))
              for gx, gw in map(_panel_rule, orders)]
@@ -302,12 +302,14 @@ def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
     for sl in _batches(rows.size, per_row, 2_000_000):
         R = rows[sl]
         cand, dl, ox, oy, valid = _touching_offsets(wd, R)
-        differ = np.any(co[cand] != co[R][:, None], axis=2)
+        jc, jr = idx[cand], idx[R]
+        differ = np.any(co[jc] != co[jr][:, None], axis=2)
         blocks = _reaching_blocks(dl, ox, oy, valid, differ)
         for i, (gp, wp) in enumerate(rules):
             for bs in _batches(blocks[0].size, wp.shape[1] ** 2, BLOCK_NODES):
                 b, px, py, e, on = (x[bs] for x in blocks)
                 r, c = R[b], cand[b[:, None], e]
+                kr, kc = jr[b], jc[b[:, None], e]
                 h = 0.5 * wd.delta[r]
                 xn = wd.cx[r][:, None] + h[:, None] * gp[px]
                 yn = wd.cy[r][:, None] + h[:, None] * gp[py]
@@ -317,7 +319,8 @@ def _hess_power_sum(F: PatchedInterpolant, rows: np.ndarray, p: float,
                 gv, gv1, gv2 = _profile((yn[:, None] - wd.cy[c][:, :, None])
                                         / d)
                 m = on[:, :, None]
-                da, db, dc = (co[c, j] - co[r, j][:, None] for j in range(3))
+                da, db, dc = (co[kc, j] - co[kr, j][:, None]
+                              for j in range(3))
                 X = xn[:, :, None]
                 if not (da.any() or db.any()):
                     da = db = X = None    # lifted data: only c differs

@@ -2,9 +2,18 @@
 
 The interpolant is a partition-of-unity blend of one affine polynomial per
 Whitney square, evaluated together with first and second derivatives.  The
-evaluation subtracts the piece of one active square at each point before
-blending: F = P_ref + sum theta_j (P_j - P_ref), which holds for any reference
-because the theta_j sum to one.  The common part carries no second
+pieces are stored as a table and an index: `pieces` holds k affine rows
+(a, b, c) and the int32 `piece_of` gives each square's row.  Data lifted
+from leaf slopes has one piece per cluster, so its table has one row per
+cluster and its index is the cluster label of each square, shared with the
+cluster tree: building it computes O(clusters) pieces, not O(squares),
+and per square only checks the index and sets the blend mask.  General
+data has one piece per square and passes the identity index, so every
+interpolant is read through the index on one evaluation path.
+
+The evaluation subtracts the piece of one active square at each point
+before blending: F = P_ref + sum theta_j (P_j - P_ref), which holds for any
+reference because the theta_j sum to one.  The common part carries no second
 derivatives, so the Hessian involves only piece differences, which is both the
 numerically stable form and the shape the patching estimate sums.
 
@@ -63,9 +72,13 @@ class AffinePolynomial:
 class PatchedInterpolant:
     """F = sum P_Q theta_Q on the frame, one fixed affine outside.
 
-    coefs holds the per-square (a, b, c) rows aligned with the decomposition;
-    every boundary square's piece must equal the tail polynomial, which is what
-    makes the glued function match its outside formula across the frame edge.
+    pieces holds k rows (a, b, c), and piece_of (int32, one entry per
+    square of the decomposition) gives the row of each square's piece;
+    piece_of=None is the identity, for one piece per square.  Lifted leaf
+    data passes one row per cluster with the cluster labels as the index,
+    which is kept as given, not copied.  Every boundary square's piece must
+    equal the tail polynomial, which is what makes the glued function match
+    its outside formula across the frame edge.
 
     blend is a boolean mask over the rows: the blend rows, which must hold
     every row whose touching list holds a different piece (any superset
@@ -74,26 +87,44 @@ class PatchedInterpolant:
     that piece exactly.  blend_rows=None makes every row a blend row.
     """
 
-    def __init__(self, wd: WhitneyDecomposition, coefs: np.ndarray,
-                 tail: AffinePolynomial, blend_rows: np.ndarray | None = None):
-        coefs = np.asarray(coefs, dtype=float)
-        if coefs.shape != (wd.n, 3):
-            raise ValueError(f"coefficient shape {coefs.shape} != ({wd.n}, 3)")
-        if not np.all(np.isfinite(coefs)):
+    def __init__(self, wd: WhitneyDecomposition, pieces: np.ndarray,
+                 tail: AffinePolynomial, blend_rows: np.ndarray | None = None,
+                 piece_of: np.ndarray | None = None):
+        pieces = np.asarray(pieces, dtype=float)
+        if piece_of is None:
+            if pieces.shape != (wd.n, 3):
+                raise ValueError(f"coefficient shape {pieces.shape} != "
+                                 f"({wd.n}, 3)")
+            piece_of = np.arange(wd.n, dtype=np.int32)
+        else:
+            piece_of = np.asarray(piece_of, dtype=np.int32)
+            if pieces.ndim != 2 or pieces.shape[1] != 3:
+                raise ValueError(f"piece table shape {pieces.shape} != (k, 3)")
+            if piece_of.shape != (wd.n,):
+                raise ValueError(f"piece index shape {piece_of.shape} != "
+                                 f"({wd.n},)")
+            if piece_of.min() < 0 or piece_of.max() >= pieces.shape[0]:
+                raise ValueError("piece index out of range")
+        if not np.all(np.isfinite(pieces)):
             raise ValueError("non-finite piece coefficients")
         t = np.array([tail.a, tail.b, tail.c])
-        if not np.array_equal(coefs[wd.boundary],
-                              np.broadcast_to(t, (int(wd.boundary.sum()), 3))):
+        framed = pieces[piece_of[wd.boundary]]
+        if not np.array_equal(framed, np.broadcast_to(t, framed.shape)):
             raise ValueError("frame squares must carry the tail polynomial")
         self.wd = wd
-        self.coefs = coefs
+        self.pieces = pieces
+        self.piece_of = piece_of
         self.tail = tail
         self.blend = np.zeros(wd.n, dtype=bool)
         self.blend[slice(None) if blend_rows is None else blend_rows] = True
 
-    def piece(self, row: int) -> AffinePolynomial:
-        a, b, c = self.coefs[row]
-        return AffinePolynomial(float(a), float(b), float(c))
+    @property
+    def coefs(self) -> np.ndarray:
+        """The per-square (a, b, c) rows, pieces[piece_of], read-only and
+        gathered on each read."""
+        rows = self.pieces[self.piece_of]
+        rows.setflags(write=False)
+        return rows
 
     def _inside(self, pts: np.ndarray) -> np.ndarray:
         return ((pts[:, 0] >= Q0_LO) & (pts[:, 0] < Q0_HI) &
@@ -123,14 +154,14 @@ class PatchedInterpolant:
             raise ValueError("order must be 0, 1 or 2")
         if not inside.any():
             return out[0] if single else out
-        A = self.coefs
+        A, idx = self.pieces, self.piece_of
         # a batch wholly inside the frame is located as it is, not copied
         at = None if inside.all() else np.flatnonzero(inside)
         # every point takes its home square's piece; those homed on a blend
         # row are overwritten by the blend below
         xin = pts if at is None else pts[at]
         home = self.wd.locate(xin)
-        P = np.take(A, home, axis=0)
+        P = np.take(A, idx[home], axis=0)
         put = slice(None) if at is None else at
         if order == 0:
             out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
@@ -144,12 +175,13 @@ class PatchedInterpolant:
             return out[0] if single else out
         xin = pts[at]
         indptr, sq, th, tx, ty, txx, txy, tyy = pou_table(self.wd, xin, home)
-        ref = sq[indptr[:-1]]      # every point has at least one active square
+        j = idx[sq]
+        ref = j[indptr[:-1]]       # every point has at least one active square
         k = np.diff(indptr)
         pt = np.repeat(np.arange(xin.shape[0]), k)
-        da = A[sq, 0] - A[ref[pt], 0]
-        db = A[sq, 1] - A[ref[pt], 1]
-        dc = A[sq, 2] - A[ref[pt], 2]
+        da = A[j, 0] - A[ref[pt], 0]
+        db = A[j, 1] - A[ref[pt], 1]
+        dc = A[j, 2] - A[ref[pt], 2]
         dP = da + db * xin[pt, 0] + dc * xin[pt, 1]
         mi = xin.shape[0]
         if order == 0:
@@ -201,9 +233,10 @@ def _differing_pairs(F: PatchedInterpolant) -> tuple[np.ndarray, np.ndarray]:
     src, dst = touching_pairs(F.wd, np.flatnonzero(F.blend))
     once = src < dst
     src, dst = src[once], dst[once]
+    js, jt = F.piece_of[src], F.piece_of[dst]
     differ = np.zeros(src.size, dtype=bool)
-    for col in np.ascontiguousarray(F.coefs.T):   # 1-D gathers beat row gathers
-        differ |= col[src] != col[dst]
+    for col in np.ascontiguousarray(F.pieces.T):  # 1-D gathers beat row gathers
+        differ |= col[js] != col[jt]
     return src[differ], dst[differ]
 
 
@@ -214,7 +247,7 @@ def pair_linf_sum(F: PatchedInterpolant, p: float) -> tuple[float, float]:
     summed: every other term, self pairs included, is exactly 0."""
     wd = F.wd
     s, t = _differing_pairs(F)
-    da, db, dc = (F.coefs[s] - F.coefs[t]).T
+    da, db, dc = (F.pieces[F.piece_of[s]] - F.pieces[F.piece_of[t]]).T
     linf = []
     for q in (s, t):    # both orientations; negating the difference is exact
         h = 0.5 * wd.delta[q]

@@ -5,7 +5,9 @@ set, its Whitney decomposition and the cluster tree with every square
 assigned.
 One piece builder makes every interpolant: the horizontal affine through
 each square's two grid base points plus the vertical slope of the square's
-cluster.  The slopes come from a tree extension backend, "optimal" or
+cluster.  Where the horizontal affine is one everywhere, as for every lift
+of leaf data, the interpolant holds one piece per cluster, indexed by the
+cluster labels.  The slopes come from a tree extension backend, "optimal" or
 "averaging", which extends leaf slopes to all clusters.  planar_extend reads
 the leaf slopes off general boundary data on the planar set.
 tree_extend_from_planar goes the other way: it extends the leaf data itself,
@@ -22,6 +24,7 @@ backend.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,18 +128,32 @@ def _interpolant(ps: PlanarSet, wd: WhitneyDecomposition, ct: ClusterTree,
     points, root cluster).
 
     When the horizontal part is one affine everywhere (as for every lift of
-    leaf data), pieces differ only across clusters, so the squares on a
-    cluster boundary are the only ones whose blend can mix pieces: they
-    are handed over as the blend rows.  Otherwise every square blends."""
+    leaf data), pieces differ only across clusters: the table holds one
+    piece per cluster, indexed by the cluster labels, and the squares on a
+    cluster boundary, the only ones whose blend can mix pieces, are handed
+    over as the blend rows.  A constant grid rule is one affine by itself,
+    read at the frame's base points, so no square is visited.  Otherwise
+    every square has its own piece and blends."""
     if ct.square_cluster is None:
         assign_clusters(ct, wd)
-    a, b = grid_affine(ps, lambda k: f.e1_values(ps, k), wd.kz, wd.kw)
-    coefs = np.column_stack([a, b, Phi[ct.square_cluster]])
-    brow = int(np.flatnonzero(wd.boundary)[0])
-    tail = AffinePolynomial(float(a[brow]), float(b[brow]), float(Phi[0]))
-    one_affine = np.all(a == a[0]) and np.all(b == b[0])
-    return PatchedInterpolant(wd, coefs, tail,
-                              ct.cross_rows(wd) if one_affine else None)
+    frame = int(np.flatnonzero(wd.boundary)[0])
+    e1 = functools.partial(f.e1_values, ps)
+    if callable(f.e1_rule):
+        a, b = grid_affine(ps, e1, wd.kz, wd.kw)
+        a0, b0 = float(a[frame]), float(b[frame])
+        one_affine = np.all(a == a0) and np.all(b == b0)
+    else:
+        a0, b0 = (float(v[0]) for v in grid_affine(
+            ps, e1, wd.kz[frame:frame + 1], wd.kw[frame:frame + 1]))
+        one_affine = True
+    tail = AffinePolynomial(a0, b0, float(Phi[0]))
+    if one_affine:
+        pieces = np.column_stack([np.full(Phi.size, a0), np.full(Phi.size, b0),
+                                  Phi])
+        return PatchedInterpolant(wd, pieces, tail, ct.cross_rows(wd),
+                                  ct.square_cluster)
+    pieces = np.column_stack([a, b, Phi[ct.square_cluster]])
+    return PatchedInterpolant(wd, pieces, tail)
 
 
 def planar_extend(tree: WeightedTree, ps: PlanarSet, wd: WhitneyDecomposition,

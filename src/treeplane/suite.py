@@ -182,7 +182,7 @@ def patching_survey(tree, ps, wd, ct, n_fields: int, seed: int,
         f = PlanarData.from_leaf_function(tree, ps, phi)
         F = planar_extend(tree, ps, wd, ct, f, p=P, backend="averaging")
         Phi = np.zeros(ct.n_clusters)
-        Phi[ct.square_cluster] = F.coefs[:, 2]
+        Phi[ct.square_cluster] = F.pieces[F.piece_of, 2]
         value, err = ew.seminorm(Phi, F)
         rhs = pair_linf_sum(F, P)[0]
         values.append(value ** P / rhs)

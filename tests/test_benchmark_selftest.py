@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import treeplane.analysis
-from treeplane.interpolant import AffinePolynomial
+from treeplane.interpolant import AffinePolynomial, PatchedInterpolant
 from treeplane.operators import (PlanarData, norm_ratio_experiment,
                                  planar_extend, tree_extend_from_planar)
 from treeplane.suite import (canonical, full_instances, instance_geometry,
                              instance_tree)
+from treeplane.tree_core import LeafFunction
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 if str(BENCHMARK) not in sys.path:
@@ -136,3 +137,23 @@ def test_field_sums_match_benchmark_reference():
         ws, wa = want[key]
         assert abs(s - ws) <= workloads.FIELD_RTOL * max(a, wa, 1e-300), \
             (key, s, ws)
+
+
+def test_active_rows_read_the_per_square_coefs():
+    """The traced run counts active rows from F.coefs: on a cluster-indexed
+    interpolant (lifted data) and on a per-square one (the identity index)
+    that count is the seminorm's own."""
+    import workloads
+    tree, ps, wd, ct = instance_geometry(canonical("n2d1-tight"),
+                                         workloads.KAPPA)
+    vals = np.random.default_rng(3).standard_normal(tree.n_leaves)
+    f = PlanarData.from_leaf_function(tree, ps, LeafFunction.from_array(
+        tree, vals - vals.mean()))
+    F = planar_extend(tree, ps, wd, ct, f, workloads.P)
+    assert F.pieces.shape == (ct.n_clusters, 3)
+    G = PatchedInterpolant(wd, F.coefs, F.tail)
+    assert G.pieces.shape == (wd.n, 3)
+    for H in (F, G):
+        want = treeplane.analysis._active_rows(H).size
+        assert want > 0
+        assert workloads.active_rows(H) == want

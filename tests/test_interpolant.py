@@ -1,9 +1,11 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treeplane import WeightedTree
+from treeplane.analysis import ball_average, planar_seminorm
 from treeplane.clusters import assign_clusters, build_clusters
 from treeplane.embedding import build_planar_set
 from treeplane.operators import PlanarData, planar_extend
@@ -72,6 +74,21 @@ def test_constructor_validation(small_wd):
     mismatched[row, 1] = 0.5
     with pytest.raises(ValueError, match="tail"):
         PatchedInterpolant(small_wd, mismatched, tail)
+    # a piece table is read only through an index of one row per square
+    one = np.array([[1.0, 0.0, 0.0]])
+    zero = np.zeros(small_wd.n, dtype=np.int32)
+    with pytest.raises(ValueError, match="table shape"):
+        PatchedInterpolant(small_wd, one[:, :2], tail, piece_of=zero)
+    with pytest.raises(ValueError, match="index shape"):
+        PatchedInterpolant(small_wd, one, tail, piece_of=zero[1:])
+    for bad_row in (-1, 1):
+        index = zero.copy()
+        index[-1] = bad_row
+        with pytest.raises(ValueError, match="out of range"):
+            PatchedInterpolant(small_wd, one, tail, piece_of=index)
+    F = PatchedInterpolant(small_wd, one, tail, piece_of=zero)
+    assert np.array_equal(F.coefs, np.tile(one, (small_wd.n, 1)))
+    assert not F.coefs.flags.writeable
 
 
 def test_identical_pieces_blend_to_that_affine(small_wd):
@@ -206,7 +223,8 @@ def test_pair_linf_sum_matches_dense_sampling(small_wd):
     p = 1.5
     for i in rng.choice(src.size, size=40, replace=False):
         s, t = src[i], dst[i]
-        dP = F.piece(int(t)) - F.piece(int(s))
+        dP = (AffinePolynomial(*F.pieces[F.piece_of[t]]) -
+              AffinePolynomial(*F.pieces[F.piece_of[s]]))
         h = 0.5 * wd.delta[s]
         corner = linf_on_rect(dP, wd.cx[s] - h, wd.cy[s] - h,
                               wd.cx[s] + h, wd.cy[s] + h)
@@ -397,3 +415,58 @@ def test_general_evaluate_matches_blending_every_row(name, data):
         # a point on every differing row, beside a square with another piece
         pts = np.vstack([pts, pair_probe_points(wd, s, t)])
     assert_same_as_blending_everywhere(F, pts)
+
+
+# -- piece table -----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["n2d1-tight", "n2d2-loose"])
+def test_cluster_pieces_match_per_square_pieces(name):
+    """Lifted data's interpolant holds one piece per cluster, indexed by the
+    cluster labels themselves.  A per-square interpolant built from its own
+    coefs, tail and blend rows reads the same numbers: values, gradients and
+    Hessians over the frame, in the strip, at E2 and on the grid, the
+    differing pairs and their sum, the cluster-ball averages and, on the
+    depth-1 tree, the seminorm."""
+    tree, ps, wd, ct = blend_geometry(name)
+    F = lifted_extension(tree, ps, wd, ct, seed=13)
+    assert F.pieces.shape == (ct.n_clusters, 3)
+    assert F.piece_of is ct.square_cluster
+    G = PatchedInterpolant(wd, F.coefs, F.tail, np.flatnonzero(F.blend))
+    assert np.array_equal(G.piece_of, np.arange(wd.n))
+    rng = np.random.default_rng(14)
+    n = 10_000
+    far = rng.uniform(Q0_LO, Q0_HI, size=(n, 2))
+    near = np.column_stack([rng.uniform(-0.1, 2.1, n),
+                            rng.uniform(-0.06, 0.06, n)])
+    k = rng.integers(0, ps.e1_count, 2_000)
+    grid = np.column_stack([k * ps.delta, np.zeros(k.size)])
+    for pts in (np.vstack([far, near]), ps.e2, grid):
+        for order in (0, 1, 2):
+            assert np.array_equal(F.evaluate(pts, order),
+                                  G.evaluate(pts, order))
+    for got, want in zip(_differing_pairs(F), _differing_pairs(G)):
+        assert got.size > 0 and np.array_equal(got, want)
+    assert pair_linf_sum(F, 1.5) == pair_linf_sum(G, 1.5)
+    assert np.array_equal(ball_average(F, ct.y, ct.radius),
+                          ball_average(G, ct.y, ct.radius))
+    if name == "n2d1-tight":
+        assert planar_seminorm(F, 1.5) == planar_seminorm(G, 1.5)
+
+
+def test_lifted_planar_extend_memory_budget():
+    """A warm planar_extend of lifted data on n2d2-loose visits no square:
+    beyond the cluster-sized table it allocates only the blend mask, one
+    byte per square."""
+    tree, ps, wd, ct = blend_geometry("n2d2-loose")
+    vals = np.random.default_rng(15).standard_normal(tree.n_leaves)
+    phi = LeafFunction.from_array(tree, vals - vals.mean())
+    f = PlanarData.from_leaf_function(tree, ps, phi)
+    planar_extend(tree, ps, wd, ct, f, p=1.5)
+    tracemalloc.start()
+    try:
+        F = planar_extend(tree, ps, wd, ct, f, p=1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.pieces.shape == (ct.n_clusters, 3)
+    assert peak / wd.n <= 2.0
