@@ -161,13 +161,14 @@ class PatchedInterpolant:
         # row are overwritten by the blend below
         xin = pts if at is None else pts[at]
         home = self.wd.locate(xin)
-        P = np.take(A, idx[home], axis=0)
         put = slice(None) if at is None else at
-        if order == 0:
-            out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
-        elif order == 1:
-            out[put] = P[:, 1:]
-        # order 2: one piece's Hessian is the zeros above
+        # order 2 reads no piece: one piece's Hessian is the zeros above
+        if order < 2:
+            P = np.take(A, idx[home], axis=0)
+            if order == 0:
+                out[put] = P[:, 0] + P[:, 1] * xin[:, 0] + P[:, 2] * xin[:, 1]
+            else:
+                out[put] = P[:, 1:]
         mix = np.flatnonzero(self.blend[home])
         at = mix if at is None else at[mix]
         home = home[mix]

@@ -25,15 +25,16 @@ give each square the contiguous run of E2 points inside its x-window, and
 only those pairs meet the float predicates; counts, witnesses and distances
 are those of a dense square-by-point scan.
 
-Point lookups do work only where squares overlap.  `locate` reads the
-containing square of most points from a table over the dyadic cells of one
-coarse level, at most four cells per square; only points in a cell that
-finer squares split fall back to a search of the sorted Morton codes.  A
-touching square is at most twice as large, so its 1.1-dilate reaches at
-most 0.1 * delta into a square: a point more than that inside its
-containing square has that square as its only active one, with theta = 1
-and vanishing derivatives, and skips both the touching-list scan and the
-psi algebra.
+Point lookups do work only where squares overlap.  `locate` walks one
+table of dyadic cells: a top block over one coarse level, at most four
+cells per square, and below each cell that finer squares split a block of
+4 x 4 cells two levels down, and so on to the finest level.  Most points
+read their row in the top block; the rest take one table read per two
+levels, and no point is searched for.  A touching square is at most twice
+as large, so its 1.1-dilate reaches at most 0.1 * delta into a square: a
+point more than that inside its containing square has that square as its
+only active one, with theta = 1 and vanishing derivatives, and skips both
+the touching-list scan and the psi algebra.
 
 Storage.  A decomposition stores per square only what it cannot recompute
 cheaply: levels (int8); ixs, iys, the witnesses, the base points kz/kw,
@@ -58,12 +59,17 @@ Q0_SIDE = 8.0
 REL_TOL = 1e-12
 # measured per square: 102-114 B at rest, a traced decompose peak of
 # 197-217 B, and 204-264 B of peak RSS for a whole build and check
-# (n2d2-tight, n3d2-mid), so the cap keeps a build near 1.3 GB
+# (n2d2-tight, n3d2-mid), so the cap keeps a build near 1.3 GB; the cell
+# table's child blocks add 6.6-8.8 B at rest and 5.3-6.6 B to the
+# decompose peak (n2d2-loose, n3d2-loose)
 SQUARE_CAP = 5 * 10 ** 6
 K0 = 50.0
 MORTON_MAX_LEVEL = 31
 # rows per chunk when a verifier scans the touching lists
 VERIFY_CHUNK = 16_384
+# levels per step of the cell-table walk: a split cell's child block
+# holds 4 x 4 cells (2 x 2 where a step would pass max_level)
+CELL_STEP = 2
 
 TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
@@ -93,6 +99,10 @@ def _spread_bits(v: np.ndarray) -> np.ndarray:
 
 def _morton(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return _spread_bits(ix) | (_spread_bits(iy) << 1)
+
+
+# the spread bits of every byte, for the walking points of `locate`
+_SPREAD_BYTE = _spread_bits(np.arange(256))
 
 
 # -- E counting ----------------------------------------------------------------
@@ -202,9 +212,12 @@ class WhitneyDecomposition:
     neighbors_indptr/neighbors (int32) give the touching lists (self
     included).  Base points kz/kw (int32) are grid indices into E1 (the
     points k * ps.delta on the axis), chosen per square type.  cells
-    (int32, `_cell_table`) holds, for each dyadic cell of level cell_level
-    in Morton order, the row of the square containing it, or -1 where finer
-    squares split it.
+    (int32, `_cell_table`) is the table `locate` walks: a row-major top
+    block over the dyadic cells of level cell_level, then, under every cell
+    that finer squares split, a block of the 4 x 4 cells CELL_STEP levels
+    finer in Morton order (2 x 2 where that would pass max_level).  An
+    entry holds the row of the square containing its cell, or ~start of the
+    cell's block.
 
     Derived where used, never stored: the int64 corners and sides on the
     finest grid (`finest_grid`) and the Morton ends, morton_starts plus
@@ -243,42 +256,64 @@ class WhitneyDecomposition:
         self.neighbors_indptr, self.neighbors = _touching_graph(self)
         self.kz = np.full(self.n, -1, dtype=np.int32)
         self.kw = np.full(self.n, -1, dtype=np.int32)
-        # at most 4 cells per square: 4^cell_level <= 4n
+        # at most 4 top cells per square: 4^cell_level <= 4n
         self.cell_level = min(self.max_level,
                               ((4 * self.n).bit_length() - 1) // 2)
-        self.cells = _cell_table(self.levels, self.ixs, self.iys,
-                                 self.cell_level)
-        self._cell_spread = _spread_bits(
-            np.arange(1 << self.cell_level)).astype(np.int32)
+        self.cells = _cell_table(self)
 
     # -- lookups ---------------------------------------------------------
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Row of the square containing each point (points must lie in Q0).
 
-        The finest-level grid coordinates, shifted down to the cell level,
-        index the cell table; a point in a cell of a square of level at most
-        cell_level reads its row there.  The rest (cells that finer squares
-        split) have their Morton codes looked up in sorted order and the
-        rows scattered back: a sorted query walks `morton_starts` in one
-        direction, which costs far less than a random-order binary search.
+        The top cell comes straight from the floats: the scale 2^cell_level
+        / 8 is a power of two, so its index is exactly the finest grid
+        coordinate shifted down.  Only the points whose top entry points to
+        a child block get finest grid coordinates, spread into Morton bits
+        a byte at a time; each step of the walk reads the next 2 * CELL_STEP
+        bits (fewer at max_level), and a point keeps its row once it has
+        one.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        c = self.cell_level
+        top = 1 << c
+        fx = pts[:, 0] - Q0_LO
+        fx *= top / Q0_SIDE
+        fy = pts[:, 1] - Q0_LO
+        fy *= top / Q0_SIDE
+        np.clip(fx, 0, top - 1, out=fx)
+        np.clip(fy, 0, top - 1, out=fy)
+        # 4^cell_level <= 4n stays below 2^31
+        cx, cy = fx.astype(np.int32), fy.astype(np.int32)
+        cy <<= c
+        cy |= cx
+        entry = self.cells.take(cy)
+        walk = np.flatnonzero(entry < 0)
+        rows = entry.astype(np.int64)
+        if not walk.size:
+            return rows
         L = self.max_level
-        scale = (1 << L) / Q0_SIDE
-        cx = np.clip(((pts[:, 0] - Q0_LO) * scale).astype(np.int64),
-                     0, (1 << L) - 1)
-        cy = np.clip(((pts[:, 1] - Q0_LO) * scale).astype(np.int64),
-                     0, (1 << L) - 1)
-        s = L - self.cell_level
-        spread = self._cell_spread
-        cell = spread.take(cx >> s) | (spread.take(cy >> s) << 1)
-        rows = self.cells.take(cell).astype(np.int64)
-        split = np.flatnonzero(rows < 0)
-        codes = _morton(cx[split], cy[split])
-        order = np.argsort(codes)
-        rows[split[order]] = np.searchsorted(self.morton_starts, codes[order],
-                                             side="right") - 1
+        g = pts[walk] - Q0_LO
+        g *= (1 << L) / Q0_SIDE
+        np.clip(g, 0, (1 << L) - 1, out=g)
+        g = g.astype(np.int64)
+        # only the bits below the top cell are read
+        spread = _SPREAD_BYTE.take(g & 255)
+        for b in range(8, L - c, 8):
+            spread |= _SPREAD_BYTE.take((g >> b) & 255) << (2 * b)
+        code = spread[:, 0] | (spread[:, 1] << 1)
+        entry = entry[walk]
+        while c < L:
+            step = min(CELL_STEP, L - c)
+            c += step
+            # ~entry + digits; a row (entry >= 0) gives a negative index
+            # that is clipped and its read discarded
+            at = (code >> (2 * (L - c))) & ((1 << (2 * step)) - 1)
+            at -= entry
+            at -= 1
+            entry = np.where(entry < 0, self.cells.take(at, mode="clip"),
+                             entry)
+        rows[walk] = entry
         return rows
 
 
@@ -297,19 +332,62 @@ def finest_grid(wd: WhitneyDecomposition, rows=slice(None)):
     return wd.ixs[rows] << shift, wd.iys[rows] << shift, 1 << shift
 
 
-def _cell_table(levels, ixs, iys, cell_level: int) -> np.ndarray:
-    """int32 row of the square containing each dyadic cell of level
-    cell_level, in Morton order, or -1 where squares of finer levels split
-    the cell.  Squares of one level lv <= cell_level each cover one block of
-    4^(cell_level - lv) consecutive cells, a row of the table viewed as
-    (4^lv, 4^(cell_level - lv)), so each level is one broadcast write."""
-    cells = np.full(1 << (2 * cell_level), -1, dtype=np.int32)
-    for lv in range(cell_level + 1):
-        rows = np.flatnonzero(levels == lv)
-        if rows.size:
-            cells.reshape(1 << (2 * lv), -1)[_morton(ixs[rows], iys[rows])] = \
-                rows[:, None]
-    return cells
+def _compact_bits(v: np.ndarray) -> np.ndarray:
+    """Inverse of `_spread_bits`: the even bits of v, packed."""
+    v = v & 0x5555555555555555
+    v = (v | (v >> 1)) & 0x3333333333333333
+    v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v >> 4)) & 0x00FF00FF00FF00FF
+    v = (v | (v >> 8)) & 0x0000FFFF0000FFFF
+    return (v | (v >> 16)) & 0x00000000FFFFFFFF
+
+
+def _cell_table(wd: WhitneyDecomposition) -> np.ndarray:
+    """int32 walk table.  It starts with a row-major top block over the
+    4^cell_level cells of level cell_level.  Each top cell that finer
+    squares split owns a child block of the 4^CELL_STEP cells CELL_STEP
+    levels finer (fewer where that would pass max_level), in Morton order,
+    and so on down to max_level.  An entry holds the row of the square
+    covering its cell, or ~start of the split cell's child block.
+
+    The blocks are built bottom-up from a list of items in Morton order,
+    at first the squares.  The items finer than a walk level cover the
+    cells it splits, each 4^(next level - its level) cells of the blocks
+    one step down, so a `repeat` writes all blocks of that step in Morton
+    order.  Then each split cell collapses to one item, its first one (the
+    only item that starts where the cell starts), which holds ~start of
+    the cell's block.  The top block is one broadcast write per level.
+    Blocks of finer levels come first after the top block."""
+    L, c0 = wd.max_level, wd.cell_level
+    walk = [c0]
+    while walk[-1] < L:
+        walk.append(min(walk[-1] + CELL_STEP, L))
+    vals = np.arange(wd.n, dtype=np.int32)
+    lvl, start = wd.levels, wd.morton_starts
+    parts, size = [], 1 << (2 * c0)
+    for c, fine in zip(walk[-2::-1], walk[:0:-1]):
+        # 4^(fine - level) cells for the items finer than c, 0 for the rest
+        covers = np.zeros(lvl.shape, dtype=np.int8)
+        for lv in range(c + 1, fine + 1):
+            covers += (lvl == lv).view(np.int8) << (2 * (fine - lv))
+        part = np.repeat(vals, covers)
+        keep = np.flatnonzero((start & ((1 << (2 * (L - c))) - 1)) == 0)
+        vals, lvl, start = vals[keep], lvl[keep], start[keep]
+        split = np.flatnonzero(lvl > c)
+        vals[split] = ~(size + (np.arange(split.size) << (2 * (fine - c))))
+        lvl[split] = c
+        size += part.size
+        parts.append(part)
+    top = np.full(1 << (2 * c0), -1, dtype=np.int32)
+    x, y = _compact_bits(start), _compact_bits(start >> 1)
+    for lv in range(c0 + 1):
+        at = np.flatnonzero(lvl == lv)
+        if at.size:
+            k = 1 << (c0 - lv)
+            top.reshape(1 << lv, k, 1 << lv, k)[
+                y[at] >> (L - lv), :, x[at] >> (L - lv), :] = \
+                vals[at][:, None, None]
+    return np.concatenate([top] + parts)
 
 
 def _touching_graph(wd: WhitneyDecomposition):

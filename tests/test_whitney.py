@@ -577,10 +577,20 @@ def _locate_oracle(wd, pts):
     return np.searchsorted(wd.morton_starts, _morton(gx, gy), "right") - 1
 
 
+def _walk_levels(wd):
+    """The levels of the cells the table holds: the top level, then steps
+    of CELL_STEP levels, the last one cut at max_level."""
+    levels = [wd.cell_level]
+    while levels[-1] < wd.max_level:
+        levels.append(min(levels[-1] + whitney.CELL_STEP, wd.max_level))
+    return levels
+
+
 def _locate_probes(wd, n_squares=4000, n_lines=64, seed=23):
-    """Points on coarse-cell edges and corners (and just below them), on the
-    faces and corners of squares, at Q0_LO and just below Q0_HI, and
-    uniform over Q0."""
+    """Points on top-cell edges and corners (and just below them), on the
+    cell edges and corners of every walk level around random squares (and
+    just below them), on the faces and corners of squares, at Q0_LO and
+    just below Q0_HI, and uniform over Q0."""
     rng = np.random.default_rng(seed)
     below = np.nextafter(Q0_HI, -np.inf)
     k = 1 << wd.cell_level
@@ -598,32 +608,63 @@ def _locate_probes(wd, n_squares=4000, n_lines=64, seed=23):
         for oy in (-1.0, 0.0, 1.0):
             sq.append(np.column_stack([wd.cx[rows] + ox * h,
                                        wd.cy[rows] + oy * h]))
+    edges = []
+    for lv in _walk_levels(wd)[1:]:
+        # the lower and upper edges of each sampled centre's cell of level lv
+        side = Q0_SIDE / 2.0 ** lv
+        ex, ey = (Q0_LO + (np.floor((c - Q0_LO) / side) + [[0], [1]]) * side
+                  for c in (wd.cx[rows], wd.cy[rows]))
+        cx, cy = np.broadcast_to(wd.cx[rows], ex.shape), \
+            np.broadcast_to(wd.cy[rows], ey.shape)
+        for x, y in ((ex, cy), (cx, ey), (ex, ey)):
+            e = np.column_stack([x.ravel(), y.ravel()])
+            edges += [e, np.nextafter(e, -np.inf)]
     pts = np.vstack([np.column_stack([lx.ravel(), ly.ravel()]),
                      np.column_stack([lines, free]),
                      np.column_stack([free, lines]),
-                     *sq, np.nextafter(sq[-1], -np.inf),
+                     *sq, np.nextafter(sq[-1], -np.inf), *edges,
                      rng.uniform(Q0_LO, Q0_HI, (5000, 2))])
     return np.minimum(np.maximum(pts, Q0_LO), below)
 
 
 def _assert_cell_table(wd):
-    """int32, at most 4 cells per square, and each cell holds the row whose
-    square covers it, or -1 where no square covers it whole."""
-    L0, s = wd.cell_level, wd.max_level - wd.cell_level
+    """Walk the whole table from the top block: it is int32, the top block
+    holds at most 4 cells per square, the blocks tile the table, every row
+    entry's square covers its cell and every pointer entry's cell is split
+    by finer squares.  Returns the share of top cells that are covered."""
+    L, c0 = wd.max_level, wd.cell_level
     assert wd.cells.dtype == np.int32
-    assert 0 <= L0 <= wd.max_level
-    assert wd.cells.size == 4 ** L0 <= 4 * wd.n
-    ii, jj = np.meshgrid(np.arange(1 << L0), np.arange(1 << L0),
-                         indexing="ij")
-    ix, iy = ii.ravel() << s, jj.ravel() << s
-    row = np.searchsorted(wd.morton_starts, _morton(ix, iy), "right") - 1
-    side = 1 << s
-    x0, y0, sq_side = whitney.finest_grid(wd, row)
-    covers = ((x0 <= ix) & (ix + side <= x0 + sq_side) &
-              (y0 <= iy) & (iy + side <= y0 + sq_side))
-    got = wd.cells[_morton(ii.ravel(), jj.ravel())]
-    assert np.array_equal(got, np.where(covers, row, -1))
-    return covers
+    assert 0 <= c0 <= wd.max_level
+    assert 4 ** c0 <= 4 * wd.n
+    # the entries of one walk level: table positions and cell corners
+    at = np.arange(4 ** c0)
+    ix, iy = at % (1 << c0), at >> c0
+    seen = np.zeros(wd.cells.size, dtype=np.int64)
+    for lv, finer in zip(_walk_levels(wd), _walk_levels(wd)[1:] + [None]):
+        seen += np.bincount(at, minlength=seen.size)
+        entry = wd.cells[at]
+        side = 1 << (L - lv)
+        gx, gy = ix * side, iy * side
+        row = np.searchsorted(wd.morton_starts, _morton(gx, gy), "right") - 1
+        x0, y0, sq_side = whitney.finest_grid(wd, row)
+        covers = ((x0 <= gx) & (gx + side <= x0 + sq_side) &
+                  (y0 <= gy) & (gy + side <= y0 + sq_side))
+        assert np.array_equal(entry >= 0, covers)
+        assert np.array_equal(entry[covers], row[covers])
+        if lv == c0:
+            top_covered = covers.mean()
+        if finer is None:
+            assert np.all(covers)
+            break
+        # each split cell owns a block of 4^(finer - lv) cells, in Morton order
+        k = np.arange(4 ** (finer - lv))
+        dx, dy = whitney._compact_bits(k), whitney._compact_bits(k >> 1)
+        split = ~covers
+        at = (~entry[split][:, None] + k).ravel()
+        ix = ((ix[split] << (finer - lv))[:, None] + dx).ravel()
+        iy = ((iy[split] << (finer - lv))[:, None] + dy).ravel()
+    assert np.all(seen == 1)
+    return top_covered
 
 
 def _assert_locate_matches_oracle(wd, pts):
@@ -633,22 +674,22 @@ def _assert_locate_matches_oracle(wd, pts):
     h = 0.5 * wd.delta[rows] + 1e-14
     assert np.all(np.abs(pts[:, 0] - wd.cx[rows]) <= h)
     assert np.all(np.abs(pts[:, 1] - wd.cy[rows]) <= h)
-    # the share of points whose cell finer squares split
+    # the share of points whose top cell finer squares split
     gx, gy = _grid_coords(wd, pts)
     s = wd.max_level - wd.cell_level
-    return np.mean(wd.cells[_morton(gx >> s, gy >> s)] < 0)
+    return np.mean(wd.cells[((gy >> s) << wd.cell_level) | (gx >> s)] < 0)
 
 
 def test_locate_matches_search_on_registry_instance():
     wd = instance_geometry(canonical("n2d2-loose"))[2]
-    covers = _assert_cell_table(wd)
-    assert covers.mean() > 0.99
+    assert _assert_cell_table(wd) > 0.99
     split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
     assert 0.0 < split < 1.0
 
 
 def test_locate_matches_search_on_medium(medium):
     _, wd = medium
+    assert (wd.max_level - wd.cell_level) % 2 == 0
     _assert_cell_table(wd)
     split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
     assert 0.0 < split < 1.0
@@ -656,25 +697,40 @@ def test_locate_matches_search_on_medium(medium):
 
 @pytest.mark.parametrize("top", [20, 31])
 def test_locate_matches_search_on_staircase(top):
-    """Few squares give a coarse cell level, so the probes of the deep
-    corner squares fall back to the Morton search."""
+    """Few squares give a coarse top level, so the probes of the deep
+    corner squares walk many levels; max_level - cell_level is odd, so the
+    last step is one level (on `medium` it is even)."""
     levels, ixs, iys = staircase(top)
     wd = WhitneyDecomposition(None, np.array(levels), np.array(ixs),
                               np.array(iys))
-    assert wd.cell_level < 6
+    assert wd.cell_level < 6 and (top - wd.cell_level) % 2 == 1
     _assert_cell_table(wd)
     split = _assert_locate_matches_oracle(wd, _locate_probes(wd))
     assert 0.0 < split < 1.0
 
 
 def test_locate_when_cells_are_the_squares():
-    """A uniform grid has fewer levels than 4n allows: the cell level is
-    the square level and every point reads its row from the table."""
+    """A uniform grid has fewer levels than 4n allows: the top level is the
+    square level, the table is the top block alone and every point reads
+    its row there."""
     wd = uniform_grid(3)
     assert wd.cell_level == wd.max_level == 3
-    assert np.all(_assert_cell_table(wd))
-    assert np.array_equal(wd.cells[_morton(wd.ixs, wd.iys)], np.arange(wd.n))
+    assert _assert_cell_table(wd) == 1.0
+    assert wd.cells.size == 64
+    assert np.array_equal(wd.cells[(wd.iys << 3) | wd.ixs], np.arange(wd.n))
     assert _assert_locate_matches_oracle(wd, _locate_probes(wd)) == 0.0
+
+
+@pytest.mark.parametrize("n_pts", [0, 1])
+def test_locate_empty_and_single_point(medium, n_pts):
+    _, wd = medium
+    # a point in the finest square, which walks every level
+    deep = int(np.argmax(wd.levels))
+    pts = np.array([[wd.cx[deep], wd.cy[deep]]])[:n_pts]
+    rows = wd.locate(pts)
+    assert rows.dtype == np.int64 and rows.shape == (n_pts,)
+    assert np.array_equal(rows, _locate_oracle(wd, pts))
+    assert rows.tolist() == [deep][:n_pts]
 
 
 # -- E2 window queries -------------------------------------------------------------
@@ -863,7 +919,7 @@ _COLUMN_DTYPES = {
     "cy": np.float64, "type_codes": np.int8, "e1_witness": np.int32,
     "e2_witness": np.int32, "boundary": np.bool_,
     "neighbors_indptr": np.int32, "neighbors": np.int32, "kz": np.int32,
-    "kw": np.int32, "cells": np.int32, "_cell_spread": np.int32}
+    "kw": np.int32, "cells": np.int32}
 
 
 def test_decomposition_columns_are_lean():
@@ -887,7 +943,8 @@ def test_touching_graph_memory_budget():
     303, 121 and 1.  With four columns derived and the index columns
     narrowed, decompose peaks at about 217 B/square and the decomposition
     holds about 114 at rest, against 303 and 177 with the four columns
-    stored and the index columns int64."""
+    stored and the index columns int64.  The child blocks of the cell table
+    add about 6.6 to both (224 and 120)."""
     tree = instance_tree(canonical("n2d2-loose"))
     ps = build_planar_set(tree)
     ct = build_clusters(tree, ps, kappa=10.25)
